@@ -69,7 +69,6 @@ from .spectral import (
     bg_dims,
     e2_page,
     exhaustive_verdict,
-    free_quotient_ceiling,
     run_choice,
     zero_choice,
 )

@@ -5,34 +5,16 @@ catalog enumeration), ``group`` (build/analyze multiplication tables),
 ``fixedpoint`` (profile census, exact-sequence solver, divisibility
 obstruction), ``ss`` (spectral-sequence verdict) and ``theorem-a`` (the
 full case engine).  Exit code 0 on success, 2 on invalid input.
-
-The environment variable PCURV13_THREADS caps internal parallelism; the
-current engines are sequential, so any positive value is accepted and a
-cap of 1 is honored trivially.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import bazaikin, cohomology, groups, pipeline, spectral
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("PCURV13_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise SystemExit2(f"PCURV13_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise SystemExit2("PCURV13_THREADS must be at least 1")
-    return val
 
 
 class SystemExit2(Exception):
@@ -286,6 +268,16 @@ def cmd_ss_verify(args) -> int:
             }
             for pg in pages
         ]
+    if args.stats:
+        st = report.stats
+        payload["stats"] = {
+            "frames": st.frames,
+            "frame_orbits": st.frame_orbits,
+            "zero_frame_d4x_orbits": st.zero_frame_d4x_orbits,
+            "choices": report.choices_examined,
+            "orbit_build_s": st.orbit_build_s,
+            "frame_sweep_s": st.frame_sweep_s,
+        }
     _emit(payload)
     return 0
 
@@ -367,6 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sssub.add_parser("verify", help="exhaustive differential sweep")
     vf.add_argument("--p", type=int, required=True)
     vf.add_argument("--trace", action="store_true")
+    vf.add_argument(
+        "--stats", action="store_true",
+        help="add frame and orbit counts and the time of each stage",
+    )
     vf.set_defaults(func=cmd_ss_verify)
 
     ta = sub.add_parser("theorem-a", help="full case engine")
@@ -385,7 +381,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

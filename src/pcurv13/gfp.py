@@ -13,15 +13,6 @@ from typing import Iterable, Sequence
 Vec = tuple[int, ...]
 
 
-def vec_add(u: Sequence[int], v: Sequence[int], p: int) -> Vec:
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def vec_scale(c: int, u: Sequence[int], p: int) -> Vec:
-    c %= p
-    return tuple((c * a) % p for a in u)
-
-
 def zero_vec(n: int) -> Vec:
     return (0,) * n
 
@@ -119,23 +110,6 @@ def span_vectors(basis: Sequence[Sequence[int]], p: int, n: int) -> Iterable[Vec
 
 def rank(rows: Iterable[Sequence[int]], p: int) -> int:
     return len(rref(rows, p))
-
-
-def preimage_dim(
-    domain_basis: Sequence[Vec],
-    images: Sequence[Vec],
-    target: Subspace,
-    p: int,
-) -> int:
-    """dim of {x in span(domain_basis) : f(x) in target}.
-
-    ``images[i]`` must be the image of ``domain_basis[i]``; the kernel
-    dimension is dim(domain) - rank(images mod target).
-    """
-    if not domain_basis:
-        return 0
-    reduced = [target.reduce(v) for v in images]
-    return len(domain_basis) - rank(reduced, p)
 
 
 def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:

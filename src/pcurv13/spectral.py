@@ -23,15 +23,29 @@ one class survives, so no such action exists.  Degrees are capped at
 total degree 7, enough to settle degree 6; d5 and everything past d6
 vanish in the window for degree reasons.
 
+Symmetry.  GL_2(F_p) acts on the base by substituting s_i and t_i with
+the same matrix, so s1s2 goes to det * s1s2; rescaling the fiber
+generators (x -> alpha x, y -> beta y) sends d2 to (alpha/beta) d2 and
+d3y to beta d3y.  Each of these is a ring automorphism of the second
+page preserving the bigrading, so it transports a whole spectral
+sequence onto another with the same page dimensions.  It therefore maps
+the admissible choices over one (d2, d3y) frame bijectively onto those
+over the image frame, and both the number of choices and the minimum
+number of degree-6 survivors are constant on orbits.  The sweep
+evaluates one frame per orbit and weights its count by the orbit size;
+on the zero frame, which the whole group fixes, it reduces the d4 values
+the same way.
+
 Linear algebra is exact over GF(p); everything is deterministic.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from itertools import combinations, product
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .gfp import (
     Subspace,
@@ -50,6 +64,17 @@ WINDOW = 7  # report spots with m + n <= WINDOW
 
 Mono = tuple[int, int, int, int]  # (e1, e2, a, b): s1^e1 s2^e2 t1^a t2^b
 Vec = tuple[int, ...]
+Frame = tuple[tuple[int, int, int], Vec]  # (d2 coefficients, d3y)
+
+
+class ProofGateError(AssertionError):
+    """An internal check of the certificate failed.  Raised explicitly, so
+    the check also runs under ``python -O``."""
+
+
+def _gate(ok: bool, message: str) -> None:
+    if not ok:
+        raise ProofGateError(message)
 
 
 @lru_cache(maxsize=None)
@@ -195,31 +220,46 @@ def e2_page(p: int) -> BigradedPage:
 
 
 @dataclass(frozen=True)
+class SweepStats:
+    """What one exhaustive sweep evaluated and where its time went.
+
+    ``frames`` is the number of (d2, d3y) frames, ``frame_orbits`` the
+    number evaluated (one per orbit), ``zero_frame_d4x_orbits`` the number
+    of d4 values evaluated on the zero frame (out of p^5).
+    """
+
+    frames: int
+    frame_orbits: int
+    zero_frame_d4x_orbits: int
+    orbit_build_s: float
+    frame_sweep_s: float
+
+
+@dataclass(frozen=True)
 class VerdictReport:
     """Outcome of the exhaustive sweep for one prime.
 
     ``choices_examined`` counts the admissible DifferentialChoice tuples
-    covered; the sweep factors coordinates whose effects on the degree-6
-    spots are provably independent, so the count exceeds the number of
+    covered.  It is orbit-weighted: each evaluated frame (and each
+    evaluated d4 value on the zero frame) contributes its own count times
+    the size of its orbit under GL_2(F_p) and the fiber rescalings, which
+    is exact because the count is constant on orbits.  Within a frame the
+    sweep also factors coordinates whose effects on the degree-6 spots are
+    provably independent, so the count far exceeds the number of
     individually evaluated cases while the minimum stays exact.
+    ``minimizing_choice`` lies over the first frame, in sweep order,
+    attaining the minimum.  ``stats`` is left out of comparisons.
     """
 
     p: int
     choices_examined: int
     min_deg6_survivors: int
     minimizing_choice: DifferentialChoice
+    stats: SweepStats = field(compare=False)
 
     @property
     def verdict(self) -> bool:
         return self.min_deg6_survivors >= 1
-
-
-def free_quotient_ceiling(manifold_dim: int) -> int:
-    """Top degree above which the homotopy quotient of a free action on a
-    closed manifold of that dimension has vanishing mod-p cohomology."""
-    if manifold_dim < 1:
-        raise ValueError("manifold dimension must be positive")
-    return manifold_dim
 
 
 # ---------------------------------------------------------------------------
@@ -467,34 +507,165 @@ def exhaustive_verdict(p: int) -> VerdictReport:
     """Sweep every admissible DifferentialChoice; report the minimum number
     of survivors in total degree 6 and a choice attaining it.
 
-    d2 coefficients and d3y are enumerated outright.  Within such a frame
-    the remaining coordinates act on the four degree-6 spots through
-    class-invariant quantities with separable couplings, so their loops
-    factor exactly; a deterministic candidate shortcut for the d6 value is
-    backed by a full fallback loop.
+    The (d2, d3y) frames are enumerated outright and grouped into orbits
+    of GL_2(F_p) x the fiber rescalings (see the module docstring); one
+    frame per orbit is evaluated, the first in sweep order, and its choice
+    count is weighted by the orbit size.  The per-frame count and minimum
+    are invariant under the group, so the total and the minimum equal
+    those of the full sweep, and the reported minimizer is the one the
+    full sweep would report.  On the zero frame the d4 values are reduced
+    by the same group.  Within a frame the remaining coordinates act on
+    the four degree-6 spots through class-invariant quantities with
+    separable couplings, so their loops factor exactly; a deterministic
+    candidate shortcut for the d6 value is backed by a full fallback loop.
+    On a 2-core Xeon the sweep takes about 0.07 s at p = 3, 0.6 s at
+    p = 5 and 2.5 s at p = 7 (``stats`` has the split for each call).
     """
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"supported primes are {SUPPORTED_PRIMES}, got {p}")
+    t0 = time.perf_counter()
+    frame_orbits = _frame_orbits(p)
+    d4x_orbits = _zero_frame_d4x_orbits(p)
+    t1 = time.perf_counter()
+
     best: Optional[int] = None
     best_choice: Optional[DifferentialChoice] = None
     examined = 0
-    for a1 in range(p):
-        for a2 in range(p):
-            for a3 in range(p):
-                a = (a1, a2, a3)
-                for v in _compatible_d3y(p, a):
-                    fr = _Frame(p, a, v)
-                    cnt, mn, ch = _frame_minimum(fr)
-                    examined += cnt
-                    if best is None or mn < best:
-                        best, best_choice = mn, ch
-    assert best is not None and best_choice is not None
+    for (a, v), size in frame_orbits:
+        fr = _Frame(p, a, v)
+        if is_zero(a) and is_zero(v):
+            # page-4 classes of the zero frame are plain vectors of R_4
+            cnt, mn, ch = _frame_minimum(fr, [((w, w), n) for w, n in d4x_orbits])
+        else:
+            cnt, mn, ch = _frame_minimum(fr)
+        examined += size * cnt
+        if best is None or mn < best:
+            best, best_choice = mn, ch
+    _gate(best is not None and best_choice is not None, "the sweep covered no frame")
     return VerdictReport(
         p=p,
         choices_examined=examined,
         min_deg6_survivors=best,
         minimizing_choice=best_choice,
+        stats=SweepStats(
+            frames=sum(n for _, n in frame_orbits),
+            frame_orbits=len(frame_orbits),
+            zero_frame_d4x_orbits=len(d4x_orbits),
+            orbit_build_s=t1 - t0,
+            frame_sweep_s=time.perf_counter() - t1,
+        ),
     )
+
+
+def _frames(p: int) -> list[Frame]:
+    """Every (d2 coefficients, d3y) pair in sweep order."""
+    return [(a, v) for a in product(range(p), repeat=3) for v in _compatible_d3y(p, a)]
+
+
+def _frame_orbits(p: int) -> list[tuple[Frame, int]]:
+    """(first frame, orbit size) per orbit of GL_2(F_p) x the rescalings."""
+
+    def act(g, frame: Frame) -> Frame:
+        return _combine(p, frame[0], g[0], 3), _combine(p, frame[1], g[1], 4)
+
+    frames = _frames(p)
+    orbits = _orbits(frames, _frame_generators(p), act)
+    _gate(
+        sum(n for _, n in orbits) == len(frames),
+        "frame orbit sizes do not sum to the frame count",
+    )
+    return orbits
+
+
+def _zero_frame_d4x_orbits(p: int) -> list[tuple[Vec, int]]:
+    """(first d4 value, orbit size) per orbit of the same group on R_4,
+    which is where d4 of the degree-3 generator lives on the zero frame."""
+
+    def act(g, w: Vec) -> Vec:
+        return _combine(p, w, g, len(w))
+
+    values = list(span_vectors(_std_basis(4), p, base_dim(4)))
+    orbits = _orbits(values, _d4x_generators(p), act)
+    _gate(
+        sum(n for _, n in orbits) == p ** base_dim(4),
+        "zero-frame d4 orbit sizes do not sum to p^5",
+    )
+    return orbits
+
+
+def _orbits(
+    points: Sequence[Hashable],
+    generators: Sequence,
+    act: Callable,
+) -> list[tuple[Hashable, int]]:
+    """(representative, orbit size) for each orbit of the group generated by
+    ``generators`` acting through ``act(generator, point)``.  The
+    representative is the orbit's first point in ``points``; orbits come in
+    first-seen order.  A finite group's orbit is the closure of a point
+    under its generators, so no other group element is ever applied."""
+    seen: set = set()
+    out = []
+    for x in points:
+        if x in seen:
+            continue
+        seen.add(x)
+        frontier = [x]
+        size = 1
+        while frontier:
+            y = frontier.pop()
+            for g in generators:
+                z = act(g, y)
+                if z not in seen:
+                    seen.add(z)
+                    frontier.append(z)
+                    size += 1
+        out.append((x, size))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _substitution(p: int, g: tuple[tuple[int, int], tuple[int, int]], k: int) -> tuple[Vec, ...]:
+    """Images of the degree-k basis monomials under the ring automorphism
+    s_i -> g[0][i] s1 + g[1][i] s2, t_i -> g[0][i] t1 + g[1][i] t2."""
+    s = [(g[0][i] % p, g[1][i] % p) for i in range(2)]
+    t = [(g[0][i] % p, g[1][i] % p, 0) for i in range(2)]
+    images = []
+    for e1, e2, a, b in monomials(k):
+        acc, deg = (1,), 0
+        for factor, fdeg in [(s[0], 1)] * e1 + [(s[1], 1)] * e2 + [(t[0], 2)] * a + [(t[1], 2)] * b:
+            acc, deg = _mul_vec(p, acc, deg, factor, fdeg), deg + fdeg
+        images.append(acc)
+    return tuple(images)
+
+
+def _scaling(p: int, c: int, k: int) -> tuple[Vec, ...]:
+    return tuple(tuple(c * x % p for x in e) for e in _std_basis(k))
+
+
+def _gl2_generators(p: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """diag(z, 1) for a primitive root z, an elementary matrix and the swap:
+    together they generate GL_2(F_p)."""
+    z = _primitive_root(p)
+    return [((z, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 0))]
+
+
+def _primitive_root(p: int) -> int:
+    return next(z for z in range(2, p) if len({pow(z, e, p) for e in range(1, p)}) == p - 1)
+
+
+def _frame_generators(p: int) -> list[tuple[tuple[Vec, ...], tuple[Vec, ...]]]:
+    """Generators of GL_2(F_p) x the two rescalings, each as its pair of
+    linear maps on (R_2, R_3), the homes of d2 and d3y."""
+    z = _primitive_root(p)
+    gens = [(_substitution(p, g, 2), _substitution(p, g, 3)) for g in _gl2_generators(p)]
+    return gens + [(_scaling(p, z, 2), _std_basis(3)), (_std_basis(2), _scaling(p, z, 3))]
+
+
+def _d4x_generators(p: int) -> list[tuple[Vec, ...]]:
+    """The same group on R_4, the home of d4 on the zero frame; both
+    rescalings reach d4(x) only through one scalar."""
+    z = _primitive_root(p)
+    return [_substitution(p, g, 4) for g in _gl2_generators(p)] + [_scaling(p, z, 4)]
 
 
 def _compatible_d3y(p: int, a: tuple[int, int, int]) -> Iterable[Vec]:
@@ -523,8 +694,16 @@ def _page_values(p: int, reps: list[Vec], ambient: int) -> list[tuple[Vec, Vec]]
     ]
 
 
-def _frame_minimum(fr: _Frame) -> tuple[int, int, DifferentialChoice]:
-    """(choices counted, min survivors at total degree 6, minimizing choice)."""
+def _frame_minimum(
+    fr: _Frame, d4x_classes: Optional[Sequence[tuple[tuple[Vec, Vec], int]]] = None
+) -> tuple[int, int, DifferentialChoice]:
+    """(choices counted, min survivors at total degree 6, minimizing choice).
+
+    ``d4x_classes`` lists ((page coordinates, vector), weight) for the d4
+    values to evaluate, each counted weight times; by default every page
+    class, once.  A caller passing orbit representatives of the frame's
+    stabilizer, weighted by orbit size, gets the same result.
+    """
     p = fr.p
     zero4 = zero_vec(base_dim(4))
 
@@ -563,7 +742,9 @@ def _frame_minimum(fr: _Frame) -> tuple[int, int, DifferentialChoice]:
             basis = fr.restrict(basis, 1, tau, 6, target)
         return len(basis)
 
-    w_reps = fr.page40_reps() if fr.x_alive else []
+    if d4x_classes is None:
+        w_reps = fr.page40_reps() if fr.x_alive else []
+        d4x_classes = [(cw, 1) for cw in _page_values(p, w_reps, base_dim(4))]
     zero6 = zero_vec(base_dim(6))
     examined = 0
     best: Optional[int] = None
@@ -577,8 +758,8 @@ def _frame_minimum(fr: _Frame) -> tuple[int, int, DifferentialChoice]:
         vR3 = fr.ideal_piece(fr.v, 3, 3)
         r2 = _std_basis(2)
         r3 = _std_basis(3)
-        for w_coords, w in _page_values(p, w_reps, base_dim(4)):
-            examined += 1
+        for (w_coords, w), weight in d4x_classes:
+            examined += weight
             if is_zero(w):
                 kills60 = vR3.dim
                 s33_dim = 4
@@ -605,16 +786,16 @@ def _frame_minimum(fr: _Frame) -> tuple[int, int, DifferentialChoice]:
             g_pick = min(t[0] for t in om_nonzero if t[2] == g_nonzero)
         s42_zero = dim_ker_v4 - uR2.dim  # omega = 0
 
-        for w_coords, w in _page_values(p, w_reps, base_dim(4)):
+        for (w_coords, w), weight in d4x_classes:
             b60 = fr.b60(w)
             fw = (7 - b60.dim) + s33(w)
             if g_nonzero is not None:
-                examined += len(om_nonzero)
+                examined += weight * len(om_nonzero)
                 total = fw + g_nonzero
                 if best is None or total < best:
                     best, best_parts = total, (w_coords, g_pick, None)
             tau_reps = _quotient_reps(_std_basis(6), b60)
-            examined += p ** len(tau_reps)
+            examined += weight * p ** len(tau_reps)
             t_min, t_coords = _tau_minimum(fr, b60, w, tau_reps, s15)
             total = fw + s42_zero + s15(zero4, zero6, w) + t_min
             if best is None or total < best:
@@ -623,7 +804,7 @@ def _frame_minimum(fr: _Frame) -> tuple[int, int, DifferentialChoice]:
                     (w_coords, zero_vec(len(om_reps)), t_coords),
                 )
 
-    assert best is not None and best_parts is not None
+    _gate(best is not None and best_parts is not None, "the frame has no d4 value")
     w_coords, om_coords, tau_coords = best_parts
     choice = DifferentialChoice(
         a=fr.a,
@@ -685,8 +866,8 @@ def _tau_minimum(fr: _Frame, b60: Subspace, w: Vec, tau_reps: list[Vec], s15) ->
                 if s15(zero4, tau, w) == exact:
                     m_star, best_coords = exact, coords
                     break
-        assert m_star == exact
-    assert m_star is not None and best_coords is not None
+        _gate(m_star == exact, "the d6 candidate shortcut disagrees with the exact minimum")
+    _gate(m_star is not None and best_coords is not None, "no nonzero d6 class was examined")
     return -1 + m_star - base, best_coords
 
 
@@ -745,7 +926,7 @@ def _page_coords(fr: _Frame, vec: Vec, reps: list[Vec], bnd: Subspace) -> Vec:
         row += 1
     for r in range(row, ambient):
         if aug[r][-1] % p:
-            raise AssertionError("class has no coordinates over the page basis")
+            raise ProofGateError("class has no coordinates over the page basis")
     sol = [0] * ncols
     for r, c in pivots:
         sol[c] = aug[r][-1] % p

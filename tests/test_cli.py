@@ -114,6 +114,7 @@ def test_fixedpoint_obstruct(capsys):
 def test_ss_verify(capsys):
     code, out, _ = run_cli(capsys, "ss", "verify", "--p", "3")
     data = json.loads(out)
+    assert list(data) == ["p", "choices", "min_deg6_survivors", "free_action_possible"]
     assert data["p"] == 3
     assert data["free_action_possible"] is False
     assert data["min_deg6_survivors"] >= 1
@@ -126,6 +127,21 @@ def test_ss_verify_trace(capsys):
     assert data["pages"][0]["r"] == 2
     assert data["pages"][-1]["r"] == "inf"
     assert data["pages"][-1]["total_degree_6"] == data["min_deg6_survivors"]
+
+
+def test_ss_verify_stats(capsys):
+    code, out, _ = run_cli(capsys, "ss", "verify", "--p", "3", "--stats")
+    assert code == 0
+    data = json.loads(out)
+    stats = data["stats"]
+    assert {k: stats[k] for k in ("frames", "frame_orbits", "zero_frame_d4x_orbits")} == {
+        "frames": 267,
+        "frame_orbits": 18,
+        "zero_frame_d4x_orbits": 10,
+    }
+    assert stats["choices"] == data["choices"] == 166213
+    assert stats["orbit_build_s"] >= 0 and stats["frame_sweep_s"] >= 0
+    assert "pages" not in data
 
 
 def test_ss_verify_bad_prime(capsys):
@@ -150,12 +166,3 @@ def test_theorem_a_summary(capsys):
     code, out, _ = run_cli(capsys, "theorem-a", "--rank", "2", "--cohomology", "mod3")
     assert code == 0
     assert "1, 2, 3, 6, 9" in out
-
-
-def test_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("PCURV13_THREADS", "4")
-    code, _, _ = run_cli(capsys, "fixedpoint", "profiles", "--json")
-    assert code == 0
-    monkeypatch.setenv("PCURV13_THREADS", "zero")
-    code, _, err = run_cli(capsys, "fixedpoint", "profiles", "--json")
-    assert code == 2 and "PCURV13_THREADS" in err

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -223,12 +228,197 @@ def test_verdict_report_shape():
     assert rep.verdict == (rep.min_deg6_survivors >= 1)
 
 
-# --- ceiling ------------------------------------------------------------------
+def test_exhaustive_verdict_p7():
+    rep = ss.exhaustive_verdict(7)
+    assert rep.choices_examined == 675373861
+    assert rep.verdict
+    assert ss.run_choice(7, rep.minimizing_choice).total_degree(6) == rep.min_deg6_survivors
 
 
-def test_free_quotient_ceiling():
-    assert ss.free_quotient_ceiling(5) == 5
-    assert ss.free_quotient_ceiling(13) == 13
-    assert ss.free_quotient_ceiling(1) == 1
-    with pytest.raises(ValueError):
-        ss.free_quotient_ceiling(0)
+# --- symmetry reduction against the unreduced sweep -----------------------------
+
+
+def unreduced_frames(p):
+    """Every (d2, d3y) frame, in the sweep order of the nested loops."""
+    return [
+        ((a1, a2, a3), v)
+        for a1 in range(p)
+        for a2 in range(p)
+        for a3 in range(p)
+        for v in ss._compatible_d3y(p, (a1, a2, a3))
+    ]
+
+
+def unreduced_sweep(p):
+    """Every frame through _frame_minimum, no symmetry used: the totals as
+    (choices, min, minimizing choice) and (count, min) per frame."""
+    per_frame = {}
+    examined, best, best_choice = 0, None, None
+    for a, v in unreduced_frames(p):
+        cnt, mn, ch = ss._frame_minimum(ss._Frame(p, a, v))
+        per_frame[(a, v)] = (cnt, mn)
+        examined += cnt
+        if best is None or mn < best:
+            best, best_choice = mn, ch
+    return (examined, best, best_choice), per_frame
+
+
+def gl2(p):
+    return [((a, b), (c, d)) for a, b, c, d in product(range(p), repeat=4) if (a * d - b * c) % p]
+
+
+def group_elements(p):
+    """Every (g, lam, mu): g in GL_2(F_p), lam and mu the rescalings."""
+    units = range(1, p)
+    return [(g, lam, mu) for g in gl2(p) for lam in units for mu in units]
+
+
+def apply_linear(p, images, vec):
+    out = [0] * len(images[0])
+    for c, img in zip(vec, images):
+        for i, x in enumerate(img):
+            out[i] = (out[i] + c * x) % p
+    return tuple(out)
+
+
+def full_group_orbits(p, points, image_of):
+    """(first point, size) per orbit, applying every group element."""
+    seen, out = set(), []
+    for x in points:
+        if x not in seen:
+            orbit = {image_of(el, x) for el in group_elements(p)}
+            seen |= orbit
+            out.append((x, len(orbit)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def unreduced_p3():
+    return unreduced_sweep(3)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_substitution_is_a_ring_automorphism(p):
+    s1s2 = ss._mono_index(2)[(1, 1, 0, 0)]
+    for g in random.Random(p).sample(gl2(p), 5):
+        det = (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % p
+        assert ss._substitution(p, g, 2)[s1s2] == tuple(det if i == s1s2 else 0 for i in range(3))
+        for k1 in range(4):
+            for k2 in range(4):
+                for x in ss._std_basis(k1):
+                    for y in ss._std_basis(k2):
+                        lhs = apply_linear(p, ss._substitution(p, g, k1 + k2), ss._mul_vec(p, x, k1, y, k2))
+                        rhs = ss._mul_vec(
+                            p,
+                            apply_linear(p, ss._substitution(p, g, k1), x), k1,
+                            apply_linear(p, ss._substitution(p, g, k2), y), k2,
+                        )
+                        assert lhs == rhs
+
+
+@pytest.mark.parametrize("p, order", [(3, 48), (5, 480), (7, 2016)])
+def test_gl2_generators_generate_gl2(p, order):
+    def mul(g, h):
+        return tuple(
+            tuple(sum(g[i][k] * h[k][j] for k in range(2)) % p for j in range(2))
+            for i in range(2)
+        )
+
+    identity = ((1, 0), (0, 1))
+    closure = ss._orbits([identity], ss._gl2_generators(p), mul)
+    assert closure == [(identity, order)]
+
+
+def test_orbits_match_full_group_and_keep_frame_count_and_min_p3(unreduced_p3):
+    p = 3
+    frames = unreduced_frames(p)
+    assert ss._frames(p) == frames
+
+    def image_of(el, frame):
+        g, lam, mu = el
+        a, v = frame
+        a2 = apply_linear(p, ss._substitution(p, g, 2), a)
+        v2 = apply_linear(p, ss._substitution(p, g, 3), v)
+        return tuple(lam * x % p for x in a2), tuple(mu * x % p for x in v2)
+
+    orbits = ss._frame_orbits(p)
+    assert orbits == full_group_orbits(p, frames, image_of)
+    assert len(orbits) == 18 and sum(n for _, n in orbits) == len(frames) == 267
+    # frame by frame: every member has its representative's count and minimum
+    _, per_frame = unreduced_p3
+    for rep, _ in orbits:
+        members = {image_of(el, rep) for el in group_elements(p)}
+        assert members <= set(frames)
+        assert {per_frame[f] for f in members} == {per_frame[rep]}
+
+
+def test_zero_frame_d4x_orbits_match_full_group_p3():
+    p = 3
+    values = list(product(range(p), repeat=5))
+
+    def image_of(el, w):
+        g, lam, mu = el
+        return tuple(lam * mu * x % p for x in apply_linear(p, ss._substitution(p, g, 4), w))
+
+    orbits = ss._zero_frame_d4x_orbits(p)
+    assert orbits == full_group_orbits(p, values, image_of)
+    assert len(orbits) == 10
+    zero = ss._Frame(p, (0, 0, 0), (0, 0, 0, 0))
+    reduced = ss._frame_minimum(zero, [((w, w), n) for w, n in orbits])
+    assert reduced == ss._frame_minimum(zero)
+
+
+def test_reduced_verdict_matches_unreduced_p3(unreduced_p3):
+    rep = ss.exhaustive_verdict(3)
+    totals, _ = unreduced_p3
+    assert (rep.choices_examined, rep.min_deg6_survivors, rep.minimizing_choice) == totals
+    assert rep.stats.frames == 267 and rep.stats.frame_orbits == 18
+
+
+def test_reduced_verdict_matches_unreduced_p5():
+    rep = ss.exhaustive_verdict(5)
+    totals, _ = unreduced_sweep(5)
+    assert (rep.choices_examined, rep.min_deg6_survivors, rep.minimizing_choice) == totals
+    assert totals[0] == 24694001
+    assert rep.stats.frames == 3245 and rep.stats.frame_orbits == 22
+
+
+# --- the d6 shortcut and its exact fallback ---------------------------------------
+
+# a d6 candidate that s1 and s2 both annihilate: as the only candidate it
+# never reaches zero, so the exact fallback runs wherever d6 is chosen
+S1S2T1T1 = tuple(1 if m == (1, 1, 2, 0) else 0 for m in ss.monomials(6))
+
+
+def test_tau_fallback_agrees_with_the_candidate_shortcut(monkeypatch):
+    rep = ss.exhaustive_verdict(3)
+    calls = []
+    exact = ss._min_row5_kernel
+    monkeypatch.setattr(ss, "_TAU_CANDIDATES", [S1S2T1T1])
+    monkeypatch.setattr(ss, "_min_row5_kernel", lambda *args: calls.append(1) or exact(*args))
+    assert ss.exhaustive_verdict(3) == rep
+    assert calls
+
+
+def test_proof_gate_survives_optimize_flag():
+    script = f"""
+import sys
+from pcurv13 import spectral as ss
+print("optimize:", sys.flags.optimize)
+ss._TAU_CANDIDATES = [{S1S2T1T1!r}]
+ss._min_row5_kernel = lambda *args: -1  # disagrees with every candidate
+try:
+    ss.exhaustive_verdict(3)
+except ss.ProofGateError as exc:
+    print("gate:", exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = Path(ss.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "optimize: 1" in proc.stdout
+    assert "candidate shortcut" in proc.stdout
