@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
+from .spectral import ProofGateError
+
 IndexPair = tuple[int, int]
 
 # the 15 unordered pairs of disjoint 2-subsets of {0,..,4}
@@ -28,7 +30,8 @@ DISJOINT_PAIR_COMBINATIONS: tuple[tuple[IndexPair, IndexPair], ...] = tuple(
     for b in combinations(range(5), 2)
     if set(a).isdisjoint(b) and a < b
 )
-assert len(DISJOINT_PAIR_COMBINATIONS) == 15
+if len(DISJOINT_PAIR_COMBINATIONS) != 15:
+    raise ProofGateError("five indices do not give 15 disjoint pairs of pairs")
 
 
 class Curvature(enum.Enum):

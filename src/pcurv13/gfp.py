@@ -112,29 +112,6 @@ def rank(rows: Iterable[Sequence[int]], p: int) -> int:
     return len(rref(rows, p))
 
 
-def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:
-    vecs = preimage_subspace(list(A.basis), list(A.basis), B, A.p)
-    return Subspace(A.p, A.n, vecs)
-
-
-def union_size(subs: Sequence[Subspace], p: int, n: int) -> int:
-    """Number of points of GF(p)^n covered by a union of subspaces, by
-    inclusion-exclusion over subset intersections.  Exponential in the
-    number of subspaces; intended for a handful of them."""
-    k = len(subs)
-    cache: dict[int, Subspace] = {}
-    total = 0
-    for mask in range(1, 1 << k):
-        low = mask & (-mask)
-        idx = low.bit_length() - 1
-        rest = mask ^ low
-        cur = subs[idx] if rest == 0 else subspace_intersection(cache[rest], subs[idx])
-        cache[mask] = cur
-        sign = 1 if bin(mask).count("1") % 2 == 1 else -1
-        total += sign * p**cur.dim
-    return total
-
-
 def preimage_subspace(
     domain_basis: Sequence[Vec],
     images: Sequence[Vec],

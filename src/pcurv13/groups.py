@@ -198,13 +198,7 @@ class SubgroupHandle:
 
     @property
     def is_normal(self) -> bool:
-        G = self.parent
-        arr = np.array(self.elements)
-        mask = np.zeros(G.order, dtype=bool)
-        mask[arr] = True
-        gh = G.table[:, arr]  # gh[g, i] = g * h_i
-        conj = G.table[gh, G.inverse[:, None]]
-        return bool(mask[conj].all())
+        return _is_normal_set(self.parent, self.elements)
 
     def as_group(self, name: str | None = None) -> GroupTable:
         arr = np.array(self.elements)
@@ -683,22 +677,15 @@ def davis_decomposition(G: GroupTable) -> Optional[tuple[int, SubgroupHandle]]:
     Requires the odd-order elements to form a subgroup and the Sylow
     2-subgroup to be cyclic and normal; returns (2^a, odd part).
     """
-    two_part = 1
-    while G.order % (two_part * 2) == 0:
-        two_part *= 2
-    odd = [g for g in range(G.order) if int(G.element_order[g]) % 2 != 0]
-    if len(odd) != G.order // two_part:
+    if G.order % 2:
+        return 1, SubgroupHandle(G, tuple(range(G.order)))
+    N = normal_p_complement(G, 2)
+    if N is None:
         return None
-    arr = np.array(odd)
-    if not np.isin(G.table[np.ix_(arr, arr)], arr).all():
-        return None
-    N = SubgroupHandle(G, tuple(odd))
-    if two_part == 1:
-        return 1, N
     P = sylow(G, 2)
     if not P.is_cyclic or not P.is_normal:
         return None
-    return two_part, N
+    return G.order // N.order, N
 
 
 # ---------------------------------------------------------------------------

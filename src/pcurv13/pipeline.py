@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import bazaikin, cohomology, groups, spectral
+from .spectral import _gate
 
 RATIONAL = "rational"
 MOD3 = "mod3"
@@ -389,7 +390,10 @@ def _splitting_steps(tr: _Tracer, tag: str) -> None:
         betti=betti,
         note="half-range alternating Betti sum; odd, so the splitting applies",
     )
-    assert parity % 2 == 1
+    _gate(
+        parity % 2 == 1,
+        "the half-range alternating Betti sum is even; the splitting does not apply",
+    )
     tr.axiom(
         tag,
         "davis_weinberger",
@@ -445,7 +449,7 @@ def _torus_fixed_branch(tr: _Tracer) -> frozenset[int]:
         )
         for k in range(0, 4)
     ]
-    assert not any(feas)
+    _gate(not any(feas), "a circle-codimension total of 10 is feasible")
     return frozenset(range(1, even + 1))
 
 
@@ -461,7 +465,7 @@ def _dim_1_3_branch(tr: _Tracer) -> frozenset[int]:
         note="at most this many fixed components, so the component "
         "stabilizer in the odd-order part has index dividing 3",
     )
-    assert even == 3
+    _gate(even == 3, "the even Betti total is not 3")
     # dimension 1: the component is a circle, stabilizer cyclic
     # dimension 3: quotient Euler characteristic forces total cyclicity
     gys = tr.op(
@@ -474,7 +478,10 @@ def _dim_1_3_branch(tr: _Tracer) -> frozenset[int]:
             "acting without fixed points; unique consistent quotient ranks"
         ),
     )
-    assert gys["solutions"] == [[1, 0, 1]] and gys["chi_bar"] == [2]
+    _gate(
+        gys["solutions"] == [[1, 0, 1]] and gys["chi_bar"] == [2],
+        "the 3-sphere quotient ranks are not [1, 0, 1] with Euler characteristic 2",
+    )
     lef = tr.op(
         tag,
         "cohomology.lefschetz_value_set",
@@ -491,7 +498,7 @@ def _dim_1_3_branch(tr: _Tracer) -> frozenset[int]:
             "subgroups of the stabilizer are cyclic"
         ),
     )
-    assert primes == []
+    _gate(primes == [], "an odd prime survives the Lefschetz divisibility test")
     ds = tr.op(
         tag,
         "cohomology.odd_divisor_candidates",
@@ -502,7 +509,7 @@ def _dim_1_3_branch(tr: _Tracer) -> frozenset[int]:
             "number; only 1 survives, so the stabilizer is cyclic"
         ),
     )
-    assert ds == [1]
+    _gate(ds == [1], "a metacyclic class index other than 1 survives")
     return _divisors(6)
 
 
@@ -515,7 +522,10 @@ def _cp1s3_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
         dim=5,
         note="quotient of the component by a second, fixed-point-free circle",
     )
-    assert gys["solutions"] == [[1, 0, 2, 0, 1]]
+    _gate(
+        gys["solutions"] == [[1, 0, 2, 0, 1]],
+        "the CP1xS3 quotient ranks are not [1, 0, 2, 0, 1]",
+    )
     lef = tr.op(
         tag,
         "cohomology.lefschetz_value_set",
@@ -523,9 +533,9 @@ def _cp1s3_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
         odd_order=True,
         note="odd-order isometries realize only these Lefschetz numbers",
     )
-    assert lef == [1, 4]
+    _gate(lef == [1, 4], "the CP1xS3 Lefschetz values are not [1, 4]")
     primes = tr.op(tag, "cohomology.surviving_odd_primes", values=lef)
-    assert primes == []
+    _gate(primes == [], "an odd prime survives the Lefschetz divisibility test")
     ds = tr.op(
         tag,
         "cohomology.odd_divisor_candidates",
@@ -533,7 +543,7 @@ def _cp1s3_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
         note="the odd-order part is cyclic; only the index <= 2 passage "
         "to the trivial-action subgroup remains",
     )
-    assert ds == [1]
+    _gate(ds == [1], "a metacyclic class index other than 1 survives")
     return _divisors(2)
 
 
@@ -547,21 +557,24 @@ def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
         dim=5,
         note="quotient by a second, fixed-point-free circle",
     )
-    assert gys["solutions"] == [[1, 0, 1, 0, 1]] and gys["chi_bar"] == [3]
+    _gate(
+        gys["solutions"] == [[1, 0, 1, 0, 1]] and gys["chi_bar"] == [3],
+        "the 5-sphere quotient ranks are not [1, 0, 1, 0, 1] with Euler characteristic 3",
+    )
     lef = tr.op(
         tag,
         "cohomology.lefschetz_value_set",
         dims=gys["solutions"][0],
         odd_order=True,
     )
-    assert lef == [3]
+    _gate(lef == [3], "the 5-sphere Lefschetz values are not [3]")
     primes = tr.op(
         tag,
         "cohomology.surviving_odd_primes",
         values=lef,
         note="only p = 3 can support an elementary abelian p x p subgroup",
     )
-    assert primes == [3]
+    _gate(primes == [3], "the surviving odd primes are not exactly [3]")
     for name in ("Z3xZ3xZ3", "Z9xZ3", "U33"):
         idx = tr.op(
             tag,
@@ -580,7 +593,10 @@ def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
             value=idx,
             lef_values=lef,
         )
-        assert obstr["excluded"]
+        _gate(
+            obstr["excluded"],
+            f"{name} is not excluded by the divisibility obstruction",
+        )
     opts = tr.op(
         tag,
         "groups.three_group_options",
@@ -591,7 +607,10 @@ def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
             "elementary abelian of rank 2, or the order-27 metacyclic type"
         ),
     )
-    assert opts["all_small"]
+    _gate(
+        opts["all_small"],
+        "a catalog 3-group meeting the hypothesis is not one of the two small types",
+    )
     for name in ("Z3xZ3", "Z9semiZ3"):
         nr = tr.op(
             tag,
@@ -604,7 +623,7 @@ def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
                 "yields an index-3 subgroup with all Sylow subgroups cyclic"
             ),
         )
-        assert nr == 2
+        _gate(nr == 2, f"{name} does not have normal 3-rank 2")
     ds = tr.op(
         tag,
         "cohomology.odd_divisor_candidates",
@@ -614,7 +633,7 @@ def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
             "Sylow 3) or on the index-3 complement-extension"
         ),
     )
-    assert ds == [1, 3]
+    _gate(ds == [1, 3], "the metacyclic class indices are not exactly [1, 3]")
     return _divisors(9)
 
 
@@ -665,7 +684,7 @@ def mod3_branch(
         note="mod-3 Betti total of the universal cover is at most 10",
     )
     budget = max(totals.values())
-    assert budget == 10
+    _gate(budget == 10, "the mod-3 Betti budget is not 10")
     per_component = budget // k
     census = tr.op(
         tag,
@@ -678,7 +697,10 @@ def mod3_branch(
         ),
     )
     names = [c[0] for c in census]
-    assert set(names) <= {"S5", "S2xS3"}
+    _gate(
+        set(names) <= {"S5", "S2xS3"},
+        "the census has a component shape other than S5 and S2xS3",
+    )
     if "S5" in names:
         tr.axiom(
             tag,
@@ -697,7 +719,7 @@ def mod3_branch(
                 "rank-two elementary abelian 3-group on this component type"
             ),
         )
-        assert verdict["verdict"]
+        _gate(verdict["verdict"], "the spectral sweep admits a free action on S2xS3")
     ds = tr.op(
         tag,
         "cohomology.odd_divisor_candidates",
@@ -708,7 +730,7 @@ def mod3_branch(
             "divides 3"
         ),
     )
-    assert ds == [1, 3]
+    _gate(ds == [1, 3], "the metacyclic class indices are not exactly [1, 3]")
     # a component stabilizer has index at most k (dividing 3 in the odd part)
     if k == 2:
         bounds = _divisors(6)
@@ -728,7 +750,7 @@ def _dim7_branch(tr: _Tracer) -> frozenset[int]:
         ambient=AMBIENT_DIM,
         note="two seven-dimensional components cannot coexist",
     )
-    assert not two_big
+    _gate(not two_big, "two 7-dimensional components are Frankel-compatible")
     tr.axiom(
         tag,
         "frankel",
@@ -803,9 +825,10 @@ def theorem_a_report(scenario: ScenarioInput) -> ObstructionReport:
             tr.steps.extend(steps)
             bounds |= sub_bounds
         bounds |= _dim7_branch(tr)
+    invoked = {s.name for s in tr.steps if s.kind == "axiom"}
     return ObstructionReport(
         scenario=scenario,
         index_bound_set=bounds,
         case_trace=tuple(tr.steps),
-        axioms_used=tuple(AXIOMS),
+        axioms_used=tuple(a for a in AXIOMS if a in invoked),
     )

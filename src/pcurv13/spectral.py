@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .gfp import (
@@ -53,7 +53,6 @@ from .gfp import (
     preimage_subspace,
     rank,
     span_vectors,
-    union_size,
     zero_vec,
 )
 
@@ -516,8 +515,7 @@ def exhaustive_verdict(p: int) -> VerdictReport:
     full sweep would report.  On the zero frame the d4 values are reduced
     by the same group.  Within a frame the remaining coordinates act on
     the four degree-6 spots through class-invariant quantities with
-    separable couplings, so their loops factor exactly; a deterministic
-    candidate shortcut for the d6 value is backed by a full fallback loop.
+    separable couplings, so their loops factor exactly.
     On a 2-core Xeon the sweep takes about 0.07 s at p = 3, 0.6 s at
     p = 5 and 2.5 s at p = 7 (``stats`` has the split for each call).
     """
@@ -796,7 +794,7 @@ def _frame_minimum(
                     best, best_parts = total, (w_coords, g_pick, None)
             tau_reps = _quotient_reps(_std_basis(6), b60)
             examined += weight * p ** len(tau_reps)
-            t_min, t_coords = _tau_minimum(fr, b60, w, tau_reps, s15)
+            t_min, t_coords = _tau_minimum(fr, w, tau_reps, s15)
             total = fw + s42_zero + s15(zero4, zero6, w) + t_min
             if best is None or total < best:
                 best, best_parts = (
@@ -816,118 +814,36 @@ def _frame_minimum(
     return examined, best, choice
 
 
-_TAU_CANDIDATES: Optional[list[Vec]] = None
+def _tau_minimum(fr: _Frame, w: Vec, tau_reps: list[Vec], s15) -> tuple[int, Vec]:
+    """Exact min over the nonzero d6 classes of their degree-6 effect,
+    relative to the d6 = 0 baseline, with page coordinates of a minimizer.
 
-
-def _tau_candidate_list() -> list[Vec]:
-    global _TAU_CANDIDATES
-    if _TAU_CANDIDATES is None:
-        basis = list(_std_basis(6))
-        cands = list(basis)
-        for i, j in combinations(range(len(basis)), 2):
-            cands.append(tuple(x + y for x, y in zip(basis[i], basis[j])))
-        _TAU_CANDIDATES = cands
-    return _TAU_CANDIDATES
-
-
-def _tau_minimum(fr: _Frame, b60: Subspace, w: Vec, tau_reps: list[Vec], s15) -> tuple[int, Vec]:
-    """Exact min over the d6 value of the degree-6 effect, relative to the
-    d6 = 0 baseline of zero, with page coordinates of a minimizer.
-
-    Any nonzero page class kills one class at spot (6,0), so the problem
-    is minimizing the dimension of the degree-(1,5) survivors over nonzero
-    classes.  A fixed candidate list usually exhibits a kernel-free value;
-    otherwise the exact minimum comes from a subspace-union analysis and
-    an achiever from a bounded page enumeration.
+    Any nonzero page class kills one class at spot (6,0), so the problem is
+    minimizing the dimension of the degree-(1,5) survivors over nonzero
+    classes.  Classes are enumerated one per line, by the position of the
+    leading coordinate (which is 1) and then in counter order over the
+    tail; the first minimum is kept, and a class leaving no survivor ends
+    the search since nothing is lower.
     """
-    p = fr.p
-    zero4 = zero_vec(base_dim(4))
-    zero6 = zero_vec(base_dim(6))
-    base = s15(zero4, zero6, w)
     if not tau_reps:
         return 0, ()
-    m_star: Optional[int] = None
+    p = fr.p
+    zero4 = zero_vec(base_dim(4))
+    base = s15(zero4, zero_vec(base_dim(6)), w)
+    k = len(tau_reps)
+    best: Optional[int] = None
     best_coords: Optional[Vec] = None
-    for cand in _tau_candidate_list():
-        if b60.contains(cand):
-            continue
-        s = s15(zero4, cand, w)
-        if m_star is None or s < m_star:
-            m_star = s
-            best_coords = _page_coords(fr, cand, tau_reps, b60)
+    # {b in R_1 : b*(c*tau) in W} = {b : b*tau in W} for c != 0, so the
+    # survivors depend only on the line of tau: one class per line suffices
+    lines = (
+        (0,) * lead + (1,) + tail
+        for lead in range(k)
+        for tail in product(range(p), repeat=k - 1 - lead)
+    )
+    for coords in lines:
+        s = s15(zero4, _combine(p, coords, tau_reps, base_dim(6)), w)
+        if best is None or s < best:
+            best, best_coords = s, coords
             if s == 0:
                 break
-    if m_star != 0:
-        exact = _min_row5_kernel(fr, b60, w)
-        if m_star is None or exact < m_star:
-            for coords, tau in _page_values(p, tau_reps, base_dim(6)):
-                if is_zero(tau):
-                    continue
-                if s15(zero4, tau, w) == exact:
-                    m_star, best_coords = exact, coords
-                    break
-        _gate(m_star == exact, "the d6 candidate shortcut disagrees with the exact minimum")
-    _gate(m_star is not None and best_coords is not None, "no nonzero d6 class was examined")
-    return -1 + m_star - base, best_coords
-
-
-def _min_row5_kernel(fr: _Frame, b60: Subspace, w: Vec) -> int:
-    """Exact min over nonzero page classes tau of
-    dim {b in R_1 : b * tau in W}, W the (7,0) boundary space.
-
-    The kernel is nonzero iff tau lies in one of the p+1 line preimages
-    V_b; minimum 0 iff those together with the (6,0) boundaries fail to
-    cover degree 6, minimum 2 iff every V_b is everything.
-    """
-    p = fr.p
-    target = fr.ideal_piece(fr.v, 3, 4) if not is_zero(fr.v) else fr.zero_sub(7)
-    if fr.x_alive and not is_zero(w):
-        target = target.join(fr.mul_all(w, 4, 3))
-    lines = [(1, 0)] + [(c, 1) for c in range(p)]
-    preimages = []
-    for b in lines:
-        images = [_mul_vec(p, b, 1, e, 6) for e in _std_basis(6)]
-        preimages.append(
-            Subspace(p, base_dim(6), preimage_subspace(list(_std_basis(6)), images, target, p))
-        )
-    if all(V.dim == base_dim(6) for V in preimages):
-        return 2
-    if union_size([b60] + preimages, p, base_dim(6)) < p ** base_dim(6):
-        return 0
-    return 1
-
-
-def _page_coords(fr: _Frame, vec: Vec, reps: list[Vec], bnd: Subspace) -> Vec:
-    """Coordinates of vec's class over the page representatives: solve
-    vec = sum c_i reps_i (mod bnd) by Gaussian elimination over the
-    stacked column system."""
-    p = fr.p
-    k = len(reps)
-    ambient = len(vec)
-    # columns: reps then boundary basis; rows: ambient coordinates
-    cols = list(reps) + list(bnd.basis)
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [vec[i]] for i in range(ambient)]
-    # forward elimination
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(row, ambient) if aug[r][col] % p), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
-        aug[row] = [(inv * x) % p for x in aug[row]]
-        for r in range(ambient):
-            if r != row and aug[r][col] % p:
-                c = aug[r][col]
-                aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, ambient):
-        if aug[r][-1] % p:
-            raise ProofGateError("class has no coordinates over the page basis")
-    sol = [0] * ncols
-    for r, c in pivots:
-        sol[c] = aug[r][-1] % p
-    return tuple(sol[:k])
+    return -1 + best - base, best_coords

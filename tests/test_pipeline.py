@@ -1,7 +1,15 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pcurv13 import cohomology as ch
 from pcurv13 import pipeline as pl
+
+SRC = Path(pl.__file__).resolve().parent
 
 
 def divisors(n):
@@ -56,14 +64,16 @@ def test_every_trace_step_replays():
             assert pl.replay_step(step), (rank, coh, step.name)
 
 
-def test_axioms_used_is_exactly_the_declared_list():
-    declared = tuple(pl.AXIOMS)
-    for rank, coh in [(2, pl.RATIONAL), (2, pl.MOD3), (3, pl.RATIONAL)]:
+def test_axioms_used_are_the_trace_axiom_steps():
+    counts = {(2, pl.RATIONAL): 6, (2, pl.MOD3): 7, (3, pl.RATIONAL): 3}
+    for (rank, coh), n in counts.items():
         rep = pl.theorem_a_report(pl.ScenarioInput(rank, coh))
-        assert rep.axioms_used == declared
-        for step in rep.case_trace:
-            if step.kind == "axiom":
-                assert step.name in pl.AXIOMS
+        invoked = {s.name for s in rep.case_trace if s.kind == "axiom"}
+        assert invoked <= set(pl.AXIOMS)
+        assert rep.axioms_used == tuple(a for a in pl.AXIOMS if a in invoked)
+        assert len(rep.axioms_used) == n
+    rational = pl.theorem_a_report(pl.ScenarioInput(2, pl.RATIONAL))
+    assert "smith" not in rational.axioms_used
 
 
 def test_trace_steps_name_registry_ops_or_axioms():
@@ -152,7 +162,7 @@ def test_report_json_shape():
     js = rep.to_json()
     assert js["scenario"] == {"rank": 2, "cohomology": "mod3"}
     assert js["index_bounds"] == sorted(rep.index_bound_set)
-    assert js["axioms"] == list(pl.AXIOMS)
+    assert js["axioms"] == list(rep.axioms_used)
     assert all({"tag", "kind", "name", "inputs", "output"} <= set(s) for s in js["trace"])
     text = rep.explain()
     assert "admissible cyclic-subgroup indices: 1, 2, 3, 6, 9" in text
@@ -166,3 +176,39 @@ def test_empty_bounds_rejected():
             case_trace=(),
             axioms_used=tuple(pl.AXIOMS),
         )
+
+
+# --- proof gates ------------------------------------------------------------------
+
+
+def test_pipeline_gate_survives_optimize_flag():
+    script = """
+import sys
+from pcurv13 import cohomology, pipeline as pl, spectral as ss
+print("optimize:", sys.flags.optimize)
+cohomology.davis_parity = lambda betti: 2
+try:
+    pl.theorem_a_report(pl.ScenarioInput(2, "rational"))
+except ss.ProofGateError as exc:
+    print("gate:", exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "optimize: 1" in proc.stdout
+    assert "alternating Betti sum is even" in proc.stdout
+
+
+def test_no_bare_asserts_in_the_package():
+    """``python -O`` strips assert statements, so a proof gate must raise."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pcurv13 import gfp
 from pcurv13 import spectral as ss
 
 
@@ -383,30 +384,46 @@ def test_reduced_verdict_matches_unreduced_p5():
     assert rep.stats.frames == 3245 and rep.stats.frame_orbits == 22
 
 
-# --- the d6 shortcut and its exact fallback ---------------------------------------
-
-# a d6 candidate that s1 and s2 both annihilate: as the only candidate it
-# never reaches zero, so the exact fallback runs wherever d6 is chosen
-S1S2T1T1 = tuple(1 if m == (1, 1, 2, 0) else 0 for m in ss.monomials(6))
+# --- the d6 minimum against every nonzero class -------------------------------------
 
 
-def test_tau_fallback_agrees_with_the_candidate_shortcut(monkeypatch):
-    rep = ss.exhaustive_verdict(3)
+@pytest.mark.parametrize("p", [3, 5])
+def test_tau_minimum_matches_every_nonzero_class(p, monkeypatch):
     calls = []
-    exact = ss._min_row5_kernel
-    monkeypatch.setattr(ss, "_TAU_CANDIDATES", [S1S2T1T1])
-    monkeypatch.setattr(ss, "_min_row5_kernel", lambda *args: calls.append(1) or exact(*args))
-    assert ss.exhaustive_verdict(3) == rep
+    tau_minimum = ss._tau_minimum
+
+    def spy(fr, w, tau_reps, s15):
+        out = tau_minimum(fr, w, tau_reps, s15)
+        calls.append((fr, w, tau_reps, s15, out))
+        return out
+
+    monkeypatch.setattr(ss, "_tau_minimum", spy)
+    ss.exhaustive_verdict(p)
     assert calls
+    zero4, zero6 = (0,) * ss.base_dim(4), (0,) * ss.base_dim(6)
+    for fr, w, tau_reps, s15, (value, coords) in calls:
+        if not tau_reps:
+            assert (value, coords) == (0, ())
+            continue
+        k = len(tau_reps)
+        unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        survivors = {
+            c: s15(zero4, apply_linear(p, tau_reps, c), w)
+            for c in gfp.span_vectors(unit, p, k)
+            if any(c)
+        }
+        low = min(survivors.values())
+        assert value == -1 + low - s15(zero4, zero6, w)
+        assert survivors[coords] == low
 
 
 def test_proof_gate_survives_optimize_flag():
-    script = f"""
+    script = """
 import sys
 from pcurv13 import spectral as ss
 print("optimize:", sys.flags.optimize)
-ss._TAU_CANDIDATES = [{S1S2T1T1!r}]
-ss._min_row5_kernel = lambda *args: -1  # disagrees with every candidate
+orbits = ss._orbits
+ss._orbits = lambda *args: orbits(*args)[:-1]  # lose the last orbit
 try:
     ss.exhaustive_verdict(3)
 except ss.ProofGateError as exc:
@@ -421,4 +438,4 @@ sys.exit(1)
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "optimize: 1" in proc.stdout
-    assert "candidate shortcut" in proc.stdout
+    assert "frame orbit sizes do not sum" in proc.stdout
