@@ -7,7 +7,9 @@ GroupTable is a group, not just a magma.  All structural queries are
 exhaustive searches; the hard cap keeps them exact and fast.
 
 The table itself is a read-only numpy array; queries that walk subgroups
-use plain Python sets over indices.
+use plain Python sets over indices.  A subgroup closure grows a frontier by
+right multiplication with its generators, and element orders come from one
+power walk per cyclic subgroup, so both cost a few lookups per element.
 """
 
 from __future__ import annotations
@@ -28,20 +30,30 @@ class GroupError(ValueError):
 
 
 def _element_orders(table: np.ndarray) -> np.ndarray:
+    """Order of every element, from one power walk per cyclic subgroup.
+
+    The walk g, g^2, ..., g^m = 1 gives each g^k the order m / gcd(k, m), so
+    it settles at least the phi(m) generators of <g>, and later walks start
+    only from elements whose order is still unknown.  A walk is cut off at
+    n steps, so a table that is not a group fails instead of looping.
+    """
     n = table.shape[0]
-    idx = np.arange(n)
-    orders = np.zeros(n, dtype=np.int64)
-    pw = idx.copy()  # pw[g] = g^k
-    k = 1
-    while True:
-        hit = (pw == 0) & (orders == 0)
-        orders[hit] = k
-        if (orders == 0).sum() == 0:
-            return orders
-        k += 1
-        if k > n:
-            raise GroupError("element power never reaches the identity")
-        pw = table[pw, idx]
+    orders = [1] + [0] * (n - 1)
+    for g in range(1, n):
+        if orders[g]:
+            continue
+        powers = [g]
+        x = table.item(g, g)
+        while x != 0:
+            powers.append(x)
+            if len(powers) == n:
+                raise GroupError("element power never reaches the identity")
+            x = table.item(x, g)
+        m = len(powers) + 1
+        for k, x in enumerate(powers, 1):
+            if not orders[x]:
+                orders[x] = m // gcd(k, m)
+    return np.array(orders, dtype=np.int64)
 
 
 class GroupTable:
@@ -139,17 +151,27 @@ def _validate_table(arr: np.ndarray) -> None:
 
 
 def _closure_indices(table: np.ndarray, seed: Iterable[int], cap: int | None = None) -> Optional[tuple[int, ...]]:
-    """Subgroup generated by seed, or None once it exceeds cap."""
-    elems = set(int(s) for s in seed) | {0}
-    while True:
-        arr = np.fromiter(elems, dtype=np.int64)
-        prods = np.unique(table[np.ix_(arr, arr)])
-        new = set(prods.tolist()) - elems
-        if not new:
-            return tuple(sorted(elems))
-        elems |= new
+    """Subgroup generated by seed, or None if it has more than cap elements.
+
+    In a finite group the monoid a set generates is the subgroup, so a
+    frontier grown by right multiplication with the seed reaches all of it
+    in |H| * |seed| table lookups.
+    """
+    gens = {int(s) for s in seed} - {0}
+    elems = {0}
+    frontier = [0]
+    while frontier:
+        grown = []
+        for a in frontier:
+            for g in gens:
+                b = table.item(a, g)
+                if b not in elems:
+                    elems.add(b)
+                    grown.append(b)
         if cap is not None and len(elems) > cap:
             return None
+        frontier = grown
+    return tuple(sorted(elems))
 
 
 def _generating_set(table: np.ndarray) -> list[int]:
@@ -416,13 +438,15 @@ def sylow(G: GroupTable, p: int) -> SubgroupHandle:
         for g in range(1, G.order)
         if _is_p_power(int(G.element_order[g]), p)
     ]
+    gens: list[int] = []
     current: set[int] = {0}
     while len(current) < target:
         for x in p_elems:
             if x in current:
                 continue
-            grown = _closure_indices(G.table, current | {x}, cap=target)
+            grown = _closure_indices(G.table, gens + [x], cap=target)
             if grown is not None and _is_p_power(len(grown), p):
+                gens.append(x)
                 current = set(grown)
                 break
         else:  # pragma: no cover - impossible for a genuine group
@@ -821,15 +845,23 @@ def write_group_file(G: GroupTable, path) -> None:
 
 
 def read_group_file(path) -> GroupTable:
+    """Table written by write_group_file: an 'order n' line, then n rows of
+    n entries.  The order is checked against the cap before any row is read."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("order "):
-        raise GroupError("group file must start with 'order n'")
-    n = int(lines[0].split()[1])
-    if len(lines) != n + 1:
-        raise GroupError(f"expected {n} table rows, found {len(lines) - 1}")
-    rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
-    return GroupTable(rows, name="file")
+        header = next((ln.strip() for ln in fh if ln.strip()), "")
+        if not header.startswith("order "):
+            raise GroupError("group file must start with 'order n'")
+        n = int(header.split()[1])
+        if not 1 <= n <= ORDER_CAP:
+            raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
+        # one row of strings at a time: n^2 of them at once cost ~15 MB at n = 512
+        rows = [np.array(cells, dtype=np.int64) for cells in (ln.split() for ln in fh) if cells]
+    if len(rows) != n:
+        raise GroupError(f"expected {n} table rows, found {len(rows)}")
+    for i, row in enumerate(rows, 1):
+        if len(row) != n:
+            raise GroupError(f"table row {i} has {len(row)} entries, expected {n}")
+    return GroupTable(np.stack(rows), name="file")
 
 
 def is_maximal_cyclic(H: SubgroupHandle) -> bool:

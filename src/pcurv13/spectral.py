@@ -744,6 +744,8 @@ def _frame_minimum(
         w_reps = fr.page40_reps() if fr.x_alive else []
         d4x_classes = [(cw, 1) for cw in _page_values(p, w_reps, base_dim(4))]
     zero6 = zero_vec(base_dim(6))
+    # with omega = tau = 0, s15 never reads w: one value per frame
+    s15_zero = s15(zero4, zero6, zero4)
     examined = 0
     best: Optional[int] = None
     best_parts: Optional[tuple] = None  # (w coords, omega coords or None, tau coords or None)
@@ -752,7 +754,6 @@ def _frame_minimum(
         # xy died on page 3: only the d4x coordinates remain.  Rank-only
         # arithmetic here; this branch dominates the sweep.
         s42 = dim_ker_v4 - uR2.dim
-        s15_val = s15(zero4, zero6, zero4)
         vR3 = fr.ideal_piece(fr.v, 3, 3)
         r2 = _std_basis(2)
         r3 = _std_basis(3)
@@ -768,7 +769,7 @@ def _frame_minimum(
                 s33_dim = 4 - rank(
                     [vR4.reduce(_mul_vec(p, b, 3, w, 4)) for b in r3], p
                 )
-            total = (7 - kills60) + s42 + (s33_dim - 1) + s15_val
+            total = (7 - kills60) + s42 + (s33_dim - 1) + s15_zero
             if best is None or total < best:
                 best, best_parts = total, (w_coords, None, None)
     else:
@@ -794,8 +795,8 @@ def _frame_minimum(
                     best, best_parts = total, (w_coords, g_pick, None)
             tau_reps = _quotient_reps(_std_basis(6), b60)
             examined += weight * p ** len(tau_reps)
-            t_min, t_coords = _tau_minimum(fr, w, tau_reps, s15)
-            total = fw + s42_zero + s15(zero4, zero6, w) + t_min
+            t_min, t_coords = _tau_minimum(fr, w, tau_reps, s15) if tau_reps else (s15_zero, ())
+            total = fw + s42_zero + t_min
             if best is None or total < best:
                 best, best_parts = (
                     total,
@@ -815,21 +816,21 @@ def _frame_minimum(
 
 
 def _tau_minimum(fr: _Frame, w: Vec, tau_reps: list[Vec], s15) -> tuple[int, Vec]:
-    """Exact min over the nonzero d6 classes of their degree-6 effect,
-    relative to the d6 = 0 baseline, with page coordinates of a minimizer.
+    """Exact min over the nonzero d6 classes of their share of the degree-6
+    survivors, with page coordinates of a minimizer; ``tau_reps`` is not
+    empty.
 
-    Any nonzero page class kills one class at spot (6,0), so the problem is
-    minimizing the dimension of the degree-(1,5) survivors over nonzero
-    classes.  Classes are enumerated one per line, by the position of the
-    leading coordinate (which is 1) and then in counter order over the
-    tail; the first minimum is kept, and a class leaving no survivor ends
-    the search since nothing is lower.
+    A nonzero page class kills one class at spot (6,0), so its share is the
+    dimension of the degree-(1,5) survivors minus 1.  That is below the
+    share of d6 = 0, which kills nothing and leaves at least as many
+    survivors, so this is the minimum over all classes.  Classes are
+    enumerated one per line, by the position of the leading coordinate
+    (which is 1) and then in counter order over the tail; the first minimum
+    is kept, and a class leaving no survivor ends the search since nothing
+    is lower.
     """
-    if not tau_reps:
-        return 0, ()
     p = fr.p
     zero4 = zero_vec(base_dim(4))
-    base = s15(zero4, zero_vec(base_dim(6)), w)
     k = len(tau_reps)
     best: Optional[int] = None
     best_coords: Optional[Vec] = None
@@ -846,4 +847,4 @@ def _tau_minimum(fr: _Frame, w: Vec, tau_reps: list[Vec], s15) -> tuple[int, Vec
             best, best_coords = s, coords
             if s == 0:
                 break
-    return -1 + best - base, best_coords
+    return -1 + best, best_coords

@@ -81,6 +81,22 @@ def test_group_build_invalid_params(capsys):
     assert "gcd" in err
 
 
+def test_group_analyze_rejects_oversized_order(tmp_path, capsys):
+    path = tmp_path / "big.grp"
+    path.write_text(f"order {gr.ORDER_CAP + 1}\n")
+    code, _, err = run_cli(capsys, "group", "analyze", "--in", str(path))
+    assert code == 2
+    assert f"order {gr.ORDER_CAP + 1} outside supported range 1..{gr.ORDER_CAP}" in err
+
+
+def test_group_analyze_rejects_ragged_row(tmp_path, capsys):
+    path = tmp_path / "ragged.grp"
+    path.write_text("order 3\n0 1 2\n1 2\n2 0 1\n")
+    code, _, err = run_cli(capsys, "group", "analyze", "--in", str(path))
+    assert code == 2
+    assert "table row 2 has 2 entries, expected 3" in err
+
+
 def test_fixedpoint_profiles(capsys):
     code, out, _ = run_cli(capsys, "fixedpoint", "profiles", "--budget", "6", "--dim", "5", "--json")
     data = json.loads(out)

@@ -19,6 +19,24 @@ def orders_by_multiplication(G):
     return out
 
 
+def squaring_closure(table, seed):
+    """Subgroup generated by seed: the set times itself, until it stops growing."""
+    elems = {int(s) for s in seed} | {0}
+    while True:
+        arr = np.fromiter(elems, dtype=np.int64)
+        new = set(np.unique(table[np.ix_(arr, arr)]).tolist()) - elems
+        if not new:
+            return tuple(sorted(elems))
+        elems |= new
+
+
+def oracle_groups():
+    """Every Burnside group of order <= 60 and the named catalog groups."""
+    burnside = [gr.build_burnside(p) for p in gr.enumerate_burnside_params(60)]
+    named = [gr.build_standard(n) for n in ("Z27", "U33", "Z9semiZ3", "S3", "Z16xU33")]
+    return burnside + named
+
+
 def full_associativity(G):
     n = G.order
     T = G.table
@@ -65,9 +83,28 @@ def test_lights_test_agrees_with_full_associativity():
 
 
 def test_element_orders_cached_vs_recomputed():
-    for G in [gr.cyclic(12), gr.symmetric3(), gr.unitriangular27()]:
+    for G in oracle_groups():
         assert list(G.element_order) == orders_by_multiplication(G)
         assert all(G.order % int(o) == 0 for o in G.element_order)
+
+
+def test_element_orders_fail_fast_on_a_magma():
+    # 1*1 = 2 and 2*1 = 2: the powers of 1 never reach the identity
+    magma = [[0, 1, 2], [1, 2, 0], [2, 2, 2]]
+    with pytest.raises(gr.GroupError, match="never reaches the identity"):
+        gr.GroupTable(magma, validate=False)
+
+
+def test_closure_matches_squaring_oracle():
+    rng = np.random.default_rng(0)
+    for G in oracle_groups():
+        seeds = [(g,) for g in range(G.order)]
+        seeds += [tuple(rng.integers(0, G.order, size=k).tolist()) for k in (2, 3) for _ in range(4)]
+        for seed in seeds:
+            want = squaring_closure(G.table, seed)
+            assert gr._closure_indices(G.table, seed) == want, (G.name, seed)
+            assert gr._closure_indices(G.table, seed, cap=len(want)) == want, (G.name, seed)
+            assert gr._closure_indices(G.table, seed, cap=len(want) - 1) is None, (G.name, seed)
 
 
 # --- Burnside family ----------------------------------------------------

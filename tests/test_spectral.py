@@ -402,9 +402,10 @@ def test_tau_minimum_matches_every_nonzero_class(p, monkeypatch):
     assert calls
     zero4, zero6 = (0,) * ss.base_dim(4), (0,) * ss.base_dim(6)
     for fr, w, tau_reps, s15, (value, coords) in calls:
-        if not tau_reps:
-            assert (value, coords) == (0, ())
-            continue
+        assert tau_reps
+        # the d6 = 0 baseline is one value per frame, whatever d4x is
+        baseline = s15(zero4, zero6, w)
+        assert baseline == s15(zero4, zero6, zero4)
         k = len(tau_reps)
         unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         survivors = {
@@ -413,7 +414,7 @@ def test_tau_minimum_matches_every_nonzero_class(p, monkeypatch):
             if any(c)
         }
         low = min(survivors.values())
-        assert value == -1 + low - s15(zero4, zero6, w)
+        assert value == -1 + low < baseline
         assert survivors[coords] == low
 
 
