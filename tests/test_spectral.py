@@ -440,3 +440,54 @@ sys.exit(1)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "optimize: 1" in proc.stdout
     assert "frame orbit sizes do not sum" in proc.stdout
+
+
+# --- the factored sweep against the page engine, choice by choice ---------------
+
+
+def page_engine_choices(p, fr, d4x_values):
+    """Every admissible DifferentialChoice over the frame whose d4x page
+    coordinates lie in ``d4x_values`` (None when x is dead)."""
+    om_dim = len(fr.page42_reps()) if fr.xy_alive4 else 0
+    for cw in d4x_values:
+        base = dict(a=fr.a, d3y=fr.v, d4x=cw)
+        if not fr.xy_alive4:
+            yield ss.DifferentialChoice(**base)
+            continue
+        w = ss._combine(p, cw or (), fr.page40_reps(), ss.base_dim(4))
+        tau_dim = len(fr.page60_reps(w))
+        for com in product(range(p), repeat=om_dim):
+            if any(com):
+                yield ss.DifferentialChoice(**base, d4xy=com)
+            else:
+                for ct in product(range(p), repeat=tau_dim):
+                    yield ss.DifferentialChoice(**base, d4xy=com, d6xy=ct)
+
+
+def page_engine_minimum(p, fr, d4x_values):
+    """(choices, min survivors at total degree 6) with every choice pushed
+    through run_choice, the independent page engine."""
+    totals = [ss.run_choice(p, ch).total_degree(6) for ch in page_engine_choices(p, fr, d4x_values)]
+    return len(totals), min(totals)
+
+
+@pytest.mark.parametrize("p", [3, pytest.param(5, marks=pytest.mark.slow)])
+def test_frame_minimum_matches_page_engine(p):
+    """Frame by frame over the orbit representatives (the zero frame once per
+    d4 orbit representative), the factored _frame_minimum against every
+    admissible choice run through the page engine."""
+    checked = 0
+    for (a, v), _ in ss._frame_orbits(p):
+        fr = ss._Frame(p, a, v)
+        if not any(a) and not any(v):
+            cases = [([w], [((w, w), 1)]) for w, _ in ss._zero_frame_d4x_orbits(p)]
+        elif fr.x_alive:
+            cases = [(list(product(range(p), repeat=len(fr.page40_reps()))), None)]
+        else:
+            cases = [([None], None)]
+        for d4x_values, d4x_classes in cases:
+            cnt, mn, choice = ss._frame_minimum(fr, d4x_classes)
+            assert page_engine_minimum(p, fr, d4x_values) == (cnt, mn), (a, v, d4x_values)
+            assert ss.run_choice(p, choice).total_degree(6) == mn
+            checked += cnt
+    assert checked == {3: 13289, 5: 364787}[p]
