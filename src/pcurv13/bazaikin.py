@@ -64,10 +64,6 @@ class QTuple:
             entries = tuple(entries[0])
         return QTuple(_canonical_entries(tuple(int(e) for e in entries)))
 
-    @property
-    def q0(self) -> int:
-        return sum(self.q)
-
     def __iter__(self):
         return iter(self.q)
 

@@ -82,10 +82,6 @@ class Subspace:
     def join(self, vectors: Iterable[Sequence[int]]) -> "Subspace":
         return Subspace(self.p, self.n, list(self.basis) + [tuple(v) for v in vectors])
 
-    def vectors(self) -> Iterable[Vec]:
-        """All p^dim member vectors, deterministic order (coefficient counter)."""
-        yield from span_vectors(self.basis, self.p, self.n)
-
 
 def span_vectors(basis: Sequence[Sequence[int]], p: int, n: int) -> Iterable[Vec]:
     if not basis:

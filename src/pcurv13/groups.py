@@ -83,19 +83,9 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def conj(self, g: int, h: int) -> int:
         """g h g^{-1}."""
         return int(self.table[self.table[g, h], self.inverse[g]])
-
-    def power(self, g: int, k: int) -> int:
-        k %= int(self.element_order[g])
-        acc = 0
-        for _ in range(k):
-            acc = int(self.table[acc, g])
-        return acc
 
     def cyclic_span(self, g: int) -> frozenset[int]:
         out = [0]
@@ -736,7 +726,10 @@ def is_isomorphic(G: GroupTable, H: GroupTable) -> bool:
 def _find_iso(G, H, gens, images, used) -> bool:
     i = len(images)
     if i == len(gens):
-        return _verify_hom(G, H, gens, images)
+        # _verify_partial built phi over the closure of every generator,
+        # which is G, checking each edge a -> a*g and injectivity: phi is
+        # a bijective homomorphism already
+        return True
     want = int(G.element_order[gens[i]])
     prefix_size = len(_closure_indices(G.table, gens[: i + 1]))
     for h in range(1, H.order):
@@ -777,18 +770,6 @@ def _verify_partial(G, H, gens, images) -> bool:
     if phi is None:
         return False
     return len(set(phi.values())) == len(phi)
-
-
-def _verify_hom(G, H, gens, images) -> bool:
-    phi = _build_map(G, H, gens, images)
-    if phi is None or len(phi) != G.order or len(set(phi.values())) != G.order:
-        return False
-    for a in range(G.order):
-        fa = phi[a]
-        for g, h in zip(gens, images):
-            if phi[int(G.table[a, g])] != int(H.table[fa, h]):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

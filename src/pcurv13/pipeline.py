@@ -214,17 +214,6 @@ def _component_census(budget: int) -> list[list]:
     return [[name, list(prof)] for name, prof in cohomology.mod_p_component_census(budget)]
 
 
-def _order27_labels() -> dict:
-    catalog = {
-        "Z27": groups.cyclic(27),
-        "Z9xZ3": groups.abelian([9, 3]),
-        "Z3xZ3xZ3": groups.abelian([3, 3, 3]),
-        "Z9semiZ3": groups.z9_semi_z3(),
-        "U33": groups.unitriangular27(),
-    }
-    return {name: groups.classify_order_27(G) for name, G in catalog.items()}
-
-
 def _small_normal_quotient_index(name: str) -> int:
     """Index of a normal order-3 subgroup contained in no larger cyclic
     subgroup, for the named order-27 group; the obstruction divisor."""
@@ -300,7 +289,6 @@ OPS: dict[str, Callable] = {
     "bazaikin.rational_betti": _rational_betti,
     "bazaikin.mod3_betti_totals": _mod3_betti_totals,
     "cohomology.even_betti_total": _even_betti_total,
-    "cohomology.euler_char": lambda betti: cohomology.euler_char(betti),
     "cohomology.davis_parity": lambda betti: cohomology.davis_parity(betti),
     "cohomology.smith_gysin_solve": _smith_gysin,
     "cohomology.lefschetz_value_set": _lefschetz_values,
@@ -315,7 +303,6 @@ OPS: dict[str, Callable] = {
         dims, ambient
     ),
     "cohomology.mod_p_component_census": _component_census,
-    "groups.order27_labels": _order27_labels,
     "groups.small_normal_quotient_index": _small_normal_quotient_index,
     "groups.three_group_options": _three_group_options,
     "groups.normal_rank": _normal_rank_by_name,

@@ -286,62 +286,64 @@ class _Frame:
             tuple((-c) % self.p for c in self.v) if self.x_alive else zero_vec(4)
         )
         self.xy_alive4 = is_zero(self.xi)
-        self._ideal: dict[tuple[Vec, int, int], Subspace] = {}
 
     def mul_all(self, z: Vec, kz: int, m: int) -> list[Vec]:
-        """Images of the standard basis of R_m under right multiplication."""
-        return [_mul_vec(self.p, e, m, z, kz) for e in _std_basis(m)]
+        """Images of the standard basis of R_m under right multiplication;
+        none when z = 0."""
+        return _products(self.p, _std_basis(m), m, z, kz)
 
     def ideal_piece(self, z: Vec, kz: int, m: int) -> Subspace:
         """span(R_m * z) inside degree m + kz."""
-        key = (z, kz, m)
-        if key not in self._ideal:
-            self._ideal[key] = Subspace(
-                self.p, base_dim(m + kz), self.mul_all(z, kz, m)
-            )
-        return self._ideal[key]
-
-    def zero_sub(self, k: int) -> Subspace:
-        return Subspace(self.p, base_dim(k), ())
-
-    def restrict(self, basis: Sequence[Vec], m: int, z: Vec, kz: int, target: Subspace) -> list[Vec]:
-        """Basis of {b in span(basis) : b*z in target}."""
-        basis = list(basis)
-        if not basis:
-            return []
-        images = [_mul_vec(self.p, b, m, z, kz) for b in basis]
-        return preimage_subspace(basis, images, target, self.p)
+        return _ideal_piece(self.p, z, kz, m)
 
     def u_kernel(self, m: int) -> list[Vec]:
-        if self.x_alive:
-            return list(_std_basis(m))
-        return self.restrict(_std_basis(m), m, self.u, 2, self.zero_sub(m + 2))
+        return _restrict(self.p, _std_basis(m), m, self.u, 2)
 
     # current-page bases interpreting the later choice coordinates
     def page40_reps(self) -> list[Vec]:
-        B = self.ideal_piece(self.v, 3, 1) if not is_zero(self.v) else self.zero_sub(4)
-        return _quotient_reps(_std_basis(4), B)
+        return _quotient_reps(_std_basis(4), self.ideal_piece(self.v, 3, 1))
 
     def page42_reps(self) -> list[Vec]:
-        Z = (
-            self.restrict(_std_basis(4), 4, self.v, 3, self.zero_sub(7))
-            if not is_zero(self.v)
-            else list(_std_basis(4))
-        )
-        B = self.ideal_piece(self.u, 2, 2) if not is_zero(self.u) else self.zero_sub(4)
-        return _quotient_reps(Z, B)
+        Z = _restrict(self.p, _std_basis(4), 4, self.v, 3)
+        return _quotient_reps(Z, self.ideal_piece(self.u, 2, 2))
 
     def page60_reps(self, w: Vec) -> list[Vec]:
         return _quotient_reps(_std_basis(6), self.b60(w))
 
     def b60(self, w: Vec) -> Subspace:
-        """Boundaries at spot (6,0) accumulated before page 6."""
-        vecs: list[Vec] = []
-        if not is_zero(self.v):
-            vecs += self.mul_all(self.v, 3, 3)
-        if self.x_alive and not is_zero(w):
-            vecs += self.mul_all(w, 4, 2)
-        return Subspace(self.p, base_dim(6), vecs)
+        """Boundaries at spot (6,0) accumulated before page 6 (w, the d4
+        value of x, is 0 when x is dead)."""
+        return Subspace(
+            self.p, base_dim(6), self.mul_all(self.v, 3, 3) + self.mul_all(w, 4, 2)
+        )
+
+
+@lru_cache(maxsize=None)
+def _ideal_piece(p: int, z: Vec, kz: int, m: int) -> Subspace:
+    # kept across frames: the page engine builds a new frame per choice
+    return Subspace(p, base_dim(m + kz), _products(p, _std_basis(m), m, z, kz))
+
+
+def _products(p: int, basis: Iterable[Vec], m: int, z: Vec, kz: int) -> list[Vec]:
+    """b * z for each b in ``basis`` (degree m); a zero multiplier spans
+    nothing, so it gives no vectors."""
+    if is_zero(z):
+        return []
+    return [_mul_vec(p, b, m, z, kz) for b in basis]
+
+
+def _restrict(
+    p: int, basis: Iterable[Vec], m: int, z: Vec, kz: int, target: Optional[Subspace] = None
+) -> list[Vec]:
+    """Basis of {b in span(basis) : b*z in target}, the kernel of
+    multiplication by z when ``target`` is None.  A zero multiplier
+    restricts nothing: the basis comes back unchanged."""
+    basis = list(basis)
+    if not basis or is_zero(z):
+        return basis
+    if target is None:
+        target = Subspace(p, base_dim(m + kz))
+    return preimage_subspace(basis, _products(p, basis, m, z, kz), target, p)
 
 
 def _quotient_reps(cycle_basis: Iterable[Vec], bnd: Subspace) -> list[Vec]:
@@ -400,73 +402,55 @@ class _Run:
     # ---- cycle/boundary state by page ----------------------------------
 
     def row5_cycles(self, m: int, page: int) -> list[Vec]:
-        fr = self.frame
+        fr, p = self.frame, self.p
         if m < 0:
             return []
         basis: list[Vec] = list(_std_basis(m))
-        if page >= 4 and not is_zero(fr.xi):
-            basis = fr.restrict(basis, m, fr.xi, 3, fr.zero_sub(m + 3))
-        if page >= 5 and fr.xy_alive4 and not is_zero(self.omega):
-            target = (
-                fr.ideal_piece(fr.u, 2, m + 2)
-                if not is_zero(fr.u)
-                else fr.zero_sub(m + 4)
-            )
-            basis = fr.restrict(basis, m, self.omega, 4, target)
-        if page >= 7 and self.xy_alive6 and not is_zero(self.tau):
-            basis = fr.restrict(basis, m, self.tau, 6, self.boundaries(m + 6, 0, 6))
+        if page >= 4:
+            basis = _restrict(p, basis, m, fr.xi, 3)
+        if page >= 5:
+            basis = _restrict(p, basis, m, self.omega, 4, fr.ideal_piece(fr.u, 2, m + 2))
+        if page >= 7 and not is_zero(self.tau):  # d6 = 0 skips building the target
+            basis = _restrict(p, basis, m, self.tau, 6, self.boundaries(m + 6, 0, 6))
         return basis
 
     def cycles(self, m: int, n: int, page: int) -> list[Vec]:
-        fr = self.frame
+        fr, p = self.frame, self.p
         if n == 0:
             return list(_std_basis(m))
         if n == 2:
-            if page >= 4 and not is_zero(fr.v):
-                return fr.restrict(_std_basis(m), m, fr.v, 3, fr.zero_sub(m + 3))
+            if page >= 4:
+                return _restrict(p, _std_basis(m), m, fr.v, 3)
             return list(_std_basis(m))
         if n == 3:
             basis = fr.u_kernel(m) if page >= 3 else list(_std_basis(m))
-            if page >= 5 and fr.x_alive and not is_zero(self.w):
-                target = (
-                    fr.ideal_piece(fr.v, 3, m + 1)
-                    if not is_zero(fr.v)
-                    else fr.zero_sub(m + 4)
-                )
-                basis = fr.restrict(basis, m, self.w, 4, target)
+            if page >= 5:
+                basis = _restrict(p, basis, m, self.w, 4, fr.ideal_piece(fr.v, 3, m + 1))
             return basis
         if n == 5:
             return self.row5_cycles(m, page)
         return []
 
     def boundaries(self, m: int, n: int, page: int) -> Subspace:
-        fr = self.frame
+        # a zero w, omega or tau skips building the source basis it multiplies
+        fr, p = self.frame, self.p
         vecs: list[Vec] = []
         if n == 0:
-            if page >= 4 and m >= 3 and not is_zero(fr.v):
+            if page >= 4 and m >= 3:
                 vecs += fr.mul_all(fr.v, 3, m - 3)
-            if page >= 5 and m >= 4 and fr.x_alive and not is_zero(self.w):
-                vecs += [
-                    _mul_vec(self.p, b, m - 4, self.w, 4)
-                    for b in fr.u_kernel(m - 4)
-                ]
-            if page >= 7 and m >= 6 and self.xy_alive6 and not is_zero(self.tau):
-                vecs += [
-                    _mul_vec(self.p, b, m - 6, self.tau, 6)
-                    for b in self.row5_cycles(m - 6, page=6)
-                ]
+            if page >= 5 and m >= 4 and not is_zero(self.w):
+                vecs += _products(p, fr.u_kernel(m - 4), m - 4, self.w, 4)
+            if page >= 7 and m >= 6 and not is_zero(self.tau):
+                vecs += _products(p, self.row5_cycles(m - 6, page=6), m - 6, self.tau, 6)
         elif n == 2:
-            if page >= 3 and m >= 2 and not is_zero(fr.u):
+            if page >= 3 and m >= 2:
                 vecs += fr.mul_all(fr.u, 2, m - 2)
-            if page >= 5 and m >= 4 and fr.xy_alive4 and not is_zero(self.omega):
-                vecs += [
-                    _mul_vec(self.p, b, m - 4, self.omega, 4)
-                    for b in self.row5_cycles(m - 4, page=4)
-                ]
+            if page >= 5 and m >= 4 and not is_zero(self.omega):
+                vecs += _products(p, self.row5_cycles(m - 4, page=4), m - 4, self.omega, 4)
         elif n == 3:
-            if page >= 4 and m >= 3 and not is_zero(fr.xi):
+            if page >= 4 and m >= 3:
                 vecs += fr.mul_all(fr.xi, 3, m - 3)
-        return Subspace(self.p, base_dim(m), vecs)
+        return Subspace(p, base_dim(m), vecs)
 
     def page_dims(self, page: int) -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}
@@ -515,9 +499,8 @@ def exhaustive_verdict(p: int) -> VerdictReport:
     full sweep would report.  On the zero frame the d4 values are reduced
     by the same group.  Within a frame the remaining coordinates act on
     the four degree-6 spots through class-invariant quantities with
-    separable couplings, so their loops factor exactly.
-    On a 2-core Xeon the sweep takes about 0.07 s at p = 3, 0.6 s at
-    p = 5 and 2.5 s at p = 7 (``stats`` has the split for each call).
+    separable couplings, so their loops factor exactly.  ``stats`` reports
+    what was evaluated and where the time went.
     """
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"supported primes are {SUPPORTED_PRIMES}, got {p}")
@@ -667,17 +650,9 @@ def _d4x_generators(p: int) -> list[tuple[Vec, ...]]:
 
 
 def _compatible_d3y(p: int, a: tuple[int, int, int]) -> Iterable[Vec]:
-    u = a
-    if is_zero(u):
-        yield from span_vectors(_std_basis(3), p, 4)
-        return
-    sols = preimage_subspace(
-        list(_std_basis(3)),
-        [_mul_vec(p, e, 3, u, 2) for e in _std_basis(3)],
-        Subspace(p, base_dim(5), ()),
-        p,
-    )
-    yield from span_vectors(sols, p, 4)
+    """Every d3y annihilating the d2 boundaries: the kernel of
+    multiplication by the degree-2 class a on R_3."""
+    yield from span_vectors(_restrict(p, _std_basis(3), 3, a, 2), p, 4)
 
 
 def _page_values(p: int, reps: list[Vec], ambient: int) -> list[tuple[Vec, Vec]]:
@@ -701,107 +676,73 @@ def _frame_minimum(
     values to evaluate, each counted weight times; by default every page
     class, once.  A caller passing orbit representatives of the frame's
     stabilizer, weighted by orbit size, gets the same result.
+
+    One loop runs over the d4 classes.  Each class w fixes the survivors at
+    the spots (6,0) and (3,3), counted by rank alone.  If xy dies on page 3
+    that is the class's only choice; otherwise the class adds the best
+    nonzero d4 value of xy (independent of w) and, for d4(xy) = 0, the best
+    d6 class over the page-6 quotient that w leaves at (6,0).
     """
     p = fr.p
     zero4 = zero_vec(base_dim(4))
+    zero6 = zero_vec(base_dim(6))
 
-    vR4 = fr.ideal_piece(fr.v, 3, 4) if not is_zero(fr.v) else fr.zero_sub(7)
-    uR2 = fr.ideal_piece(fr.u, 2, 2) if not is_zero(fr.u) else fr.zero_sub(4)
-    uR3 = fr.ideal_piece(fr.u, 2, 3) if not is_zero(fr.u) else fr.zero_sub(5)
-    ker_u3_dim = len(fr.u_kernel(3))
-    ker_v4 = (
-        fr.restrict(_std_basis(4), 4, fr.v, 3, fr.zero_sub(7))
-        if not is_zero(fr.v)
-        else list(_std_basis(4))
-    )
-    dim_ker_v4 = len(ker_v4)
+    vR3 = fr.ideal_piece(fr.v, 3, 3)
+    vR4 = fr.ideal_piece(fr.v, 3, 4)
+    uR2 = fr.ideal_piece(fr.u, 2, 2)
+    uR3 = fr.ideal_piece(fr.u, 2, 3)
+    dim_ker_v4 = len(_restrict(p, _std_basis(4), 4, fr.v, 3))
+    # (3,3): d2-cycles, less those w sends outside v*R_4, less the image of xi
+    s33_top = len(fr.u_kernel(3)) - fr.ideal_piece(fr.xi, 3, 0).dim
     r1 = list(_std_basis(1))
 
-    def s33(w: Vec) -> int:
-        if fr.x_alive:
-            if is_zero(w):
-                zdim = 4
-            else:
-                zdim = len(fr.restrict(_std_basis(3), 3, w, 4, vR4))
-        else:
-            zdim = ker_u3_dim
-        return zdim - (0 if is_zero(fr.xi) else 1)
+    def join_rank(sub: Subspace, w: Vec, m: int) -> int:
+        """dim(sub + w*R_m) - dim(sub), from the images reduced modulo sub."""
+        return rank([sub.reduce(x) for x in _products(p, _std_basis(m), m, w, 4)], p)
 
     def s15(omega: Vec, tau: Vec, w: Vec) -> int:
-        if not is_zero(fr.xi):
-            return len(fr.restrict(r1, 1, fr.xi, 3, fr.zero_sub(4)))
-        basis = r1
-        if not is_zero(omega):
-            basis = fr.restrict(basis, 1, omega, 4, uR3)
-        if basis and not is_zero(tau):
-            target = vR4
-            if fr.x_alive and not is_zero(w):
-                target = target.join(fr.mul_all(w, 4, 3))
-            basis = fr.restrict(basis, 1, tau, 6, target)
+        basis = _restrict(p, r1, 1, fr.xi, 3)
+        basis = _restrict(p, basis, 1, omega, 4, uR3)
+        if not is_zero(tau):
+            basis = _restrict(p, basis, 1, tau, 6, vR4.join(fr.mul_all(w, 4, 3)))
         return len(basis)
 
     if d4x_classes is None:
         w_reps = fr.page40_reps() if fr.x_alive else []
         d4x_classes = [(cw, 1) for cw in _page_values(p, w_reps, base_dim(4))]
-    zero6 = zero_vec(base_dim(6))
     # with omega = tau = 0, s15 never reads w: one value per frame
     s15_zero = s15(zero4, zero6, zero4)
+    s42_zero = dim_ker_v4 - uR2.dim
+    if fr.xy_alive4:
+        om_reps = fr.page42_reps()
+        om_nonzero = [
+            (coords, dim_ker_v4 - uR2.join([om]).dim + s15(om, zero6, zero4))
+            for coords, om in _page_values(p, om_reps, base_dim(4))
+            if not is_zero(om)
+        ]
+        om_share = min((t[1] for t in om_nonzero), default=None)
+        om_pick = min((t[0] for t in om_nonzero if t[1] == om_share), default=None)
+
     examined = 0
     best: Optional[int] = None
     best_parts: Optional[tuple] = None  # (w coords, omega coords or None, tau coords or None)
-
-    if not fr.xy_alive4:
-        # xy died on page 3: only the d4x coordinates remain.  Rank-only
-        # arithmetic here; this branch dominates the sweep.
-        s42 = dim_ker_v4 - uR2.dim
-        vR3 = fr.ideal_piece(fr.v, 3, 3)
-        r2 = _std_basis(2)
-        r3 = _std_basis(3)
-        for (w_coords, w), weight in d4x_classes:
-            examined += weight
-            if is_zero(w):
-                kills60 = vR3.dim
-                s33_dim = 4
-            else:
-                kills60 = vR3.dim + rank(
-                    [vR3.reduce(_mul_vec(p, b, 2, w, 4)) for b in r2], p
-                )
-                s33_dim = 4 - rank(
-                    [vR4.reduce(_mul_vec(p, b, 3, w, 4)) for b in r3], p
-                )
-            total = (7 - kills60) + s42 + (s33_dim - 1) + s15_zero
-            if best is None or total < best:
-                best, best_parts = total, (w_coords, None, None)
-    else:
-        om_reps = fr.page42_reps()
-        om_values = _page_values(p, om_reps, base_dim(4))
-        om_nonzero = [
-            (coords, om, dim_ker_v4 - uR2.join([om]).dim + s15(om, zero6, zero4))
-            for coords, om in om_values
-            if not is_zero(om)
-        ]
-        g_nonzero = min((t[2] for t in om_nonzero), default=None)
-        if g_nonzero is not None:
-            g_pick = min(t[0] for t in om_nonzero if t[2] == g_nonzero)
-        s42_zero = dim_ker_v4 - uR2.dim  # omega = 0
-
-        for (w_coords, w), weight in d4x_classes:
-            b60 = fr.b60(w)
-            fw = (7 - b60.dim) + s33(w)
-            if g_nonzero is not None:
-                examined += weight * len(om_nonzero)
-                total = fw + g_nonzero
-                if best is None or total < best:
-                    best, best_parts = total, (w_coords, g_pick, None)
-            tau_reps = _quotient_reps(_std_basis(6), b60)
-            examined += weight * p ** len(tau_reps)
-            t_min, t_coords = _tau_minimum(fr, w, tau_reps, s15) if tau_reps else (s15_zero, ())
-            total = fw + s42_zero + t_min
-            if best is None or total < best:
-                best, best_parts = (
-                    total,
-                    (w_coords, zero_vec(len(om_reps)), t_coords),
-                )
+    for (w_coords, w), weight in d4x_classes:
+        fixed = (7 - vR3.dim - join_rank(vR3, w, 2)) + (s33_top - join_rank(vR4, w, 3))
+        if not fr.xy_alive4:
+            options = [(1, s42_zero + s15_zero, (w_coords, None, None))]
+        else:
+            tau_reps = _quotient_reps(_std_basis(6), fr.b60(w))
+            t_share, t_coords = _tau_minimum(fr, w, tau_reps, s15) if tau_reps else (s15_zero, ())
+            om_zero = zero_vec(len(om_reps))
+            options = [
+                (len(om_nonzero), om_share, (w_coords, om_pick, None)),
+                (p ** len(tau_reps), s42_zero + t_share, (w_coords, om_zero, t_coords)),
+            ]
+        for count, share, parts in options:
+            if count:
+                examined += weight * count
+                if best is None or fixed + share < best:
+                    best, best_parts = fixed + share, parts
 
     _gate(best is not None and best_parts is not None, "the frame has no d4 value")
     w_coords, om_coords, tau_coords = best_parts

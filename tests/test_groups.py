@@ -429,6 +429,22 @@ def test_is_isomorphic_relabelled():
     assert gr.is_isomorphic(gr.abelian([3, 9]), gr.abelian([9, 3]))
 
 
+def test_is_isomorphic_past_every_prefilter():
+    # same order profile, non-abelian, centres of one size: only the
+    # generator-mapping search tells these pairs apart
+    pairs = [((4, 8, 3), (8, 4, 5)), ((8, 4, 3), (8, 4, 7)), ((16, 4, 7), (16, 4, 15))]
+    rng = np.random.default_rng(11)
+    for a, b in pairs:
+        G, H = gr.metacyclic(*a), gr.metacyclic(*b)
+        assert G.order_profile() == H.order_profile()
+        assert not G.is_abelian and not H.is_abelian
+        assert len(G.center()) == len(H.center())
+        assert not gr.is_isomorphic(G, H) and not gr.is_isomorphic(H, G)
+        perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+        inv = np.argsort(perm)
+        assert gr.is_isomorphic(G, gr.GroupTable(perm[G.table[np.ix_(inv, inv)]]))
+
+
 def test_subgroup_as_group_valid():
     B = gr.build_burnside(gr.BurnsideParams(7, 3, 2))
     S = gr.sylow(B, 7).as_group()
