@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from pcurv13 import groups as gr
 from pcurv13.cli import main
@@ -182,3 +183,38 @@ def test_theorem_a_summary(capsys):
     code, out, _ = run_cli(capsys, "theorem-a", "--rank", "2", "--cohomology", "mod3")
     assert code == 0
     assert "1, 2, 3, 6, 9" in out
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        ("bazaikin enumerate --bound 0", "--bound must be at least 1"),
+        ("group build --burnside 7 3 2 --name Z3", "give either --burnside or --name, not both"),
+        ("group build", "one of --burnside m n r or --name NAME is required"),
+        (
+            "group build --burnside 4 2 3",
+            "invalid Burnside parameters BurnsideParams(m=4, n=2, r=3): gcd((r-1)*n, m) = 4 != 1",
+        ),
+        ("group build --name Q8", "unknown group name 'Q8'"),
+        (
+            "group analyze --in {tmp}/missing.grp",
+            "cannot read group table: [Errno 2] No such file or directory: '{tmp}/missing.grp'",
+        ),
+        ("fixedpoint profiles --budget 1", "budget must be at least 2"),
+        (
+            "fixedpoint gysin --space K3",
+            "unknown space 'K3'; choose from ['CP1xS3', 'CP2', 'S1', 'S3', 'S5', 'S7']",
+        ),
+        (
+            "fixedpoint obstruct --group xx:3 --lef 1",
+            "bad --group (want cd:D or zpxzp:P): kind must be 'cd' or 'zpxzp'",
+        ),
+        ("fixedpoint obstruct --group cd:3 --lef 1,a", "--lef wants a comma-separated integer list"),
+        ("ss verify --p 2", "supported primes are (3, 5, 7), got 2"),
+    ],
+)
+def test_invalid_input_exits_2_with_one_error_line(argv, line, tmp_path, capsys):
+    code, out, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {line.format(tmp=tmp_path)}\n"

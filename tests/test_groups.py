@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from pcurv13 import groups as gr
+from pcurv13 import pipeline
 
 
 # --- oracles -----------------------------------------------------------
@@ -238,6 +241,46 @@ def test_contains_copy_examples():
     assert gr.contains_copy(gr.build_standard("Z3xZ9semiZ3"), "Z9semiZ3")
     assert not gr.contains_copy(gr.build_standard("Z3xU33"), "Z9semiZ3")
     assert not gr.contains_copy(gr.z9_semi_z3(), "Z9xZ3")
+
+
+def pattern_oracle(G):
+    """The patterns G contains at p = 3, by brute force.
+
+    Every 3-subgroup is conjugate into one Sylow 3-subgroup P, and every
+    pattern but Z3cubed is generated by two elements, so closing every pair
+    of nonidentity elements of P, then every triple of its order-3
+    elements, meets a copy of each pattern G contains.
+    """
+    P = gr.sylow(G, 3).elements
+    found = set()
+
+    def close(seed):
+        sub = gr._closure_indices(G.table, seed, cap=27)
+        if sub is None:
+            return
+        if len(sub) == 27:
+            found.add(gr.classify_order_27(gr.SubgroupHandle(G, sub).as_group()))
+        elif len(sub) == 9 and all(int(G.element_order[g]) in (1, 3) for g in sub):
+            found.add("ZpxZp")
+
+    for pair in combinations(P[1:], 2):
+        close(pair)
+    threes = [g for g in P if int(G.element_order[g]) == 3]
+    for triple in combinations(threes, 3):
+        if "Z3cubed" in found:
+            break
+        close(triple)
+    return found
+
+
+def test_contains_copy_matches_brute_force_oracle():
+    names = pipeline._THREE_GROUP_CATALOG + ("S3xU33", "Z16xU33", "Z27xZ9")
+    for name in names:
+        G = gr.build_standard(name)
+        found = pattern_oracle(G)
+        got = {pat for pat in gr.PATTERNS if gr.contains_copy(G, pat, p=3)}
+        assert got == found & set(gr.PATTERNS), name
+        assert gr.p2_condition(G, 3) == ("ZpxZp" not in found), name
 
 
 def test_order_81_fact():

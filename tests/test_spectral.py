@@ -387,8 +387,9 @@ def test_reduced_verdict_matches_unreduced_p5():
 # --- the d6 minimum against every nonzero class -------------------------------------
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_tau_minimum_matches_every_nonzero_class(p, monkeypatch):
+def tau_minimum_calls(p, monkeypatch):
+    """(frame, w, tau_reps, s15, result) for every _tau_minimum call of the
+    sweep at p."""
     calls = []
     tau_minimum = ss._tau_minimum
 
@@ -400,8 +401,13 @@ def test_tau_minimum_matches_every_nonzero_class(p, monkeypatch):
     monkeypatch.setattr(ss, "_tau_minimum", spy)
     ss.exhaustive_verdict(p)
     assert calls
+    return calls
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_tau_minimum_matches_every_nonzero_class(p, monkeypatch):
     zero4, zero6 = (0,) * ss.base_dim(4), (0,) * ss.base_dim(6)
-    for fr, w, tau_reps, s15, (value, coords) in calls:
+    for fr, w, tau_reps, s15, (value, coords) in tau_minimum_calls(p, monkeypatch):
         assert tau_reps
         # the d6 = 0 baseline is one value per frame, whatever d4x is
         baseline = s15(zero4, zero6, w)
@@ -416,6 +422,36 @@ def test_tau_minimum_matches_every_nonzero_class(p, monkeypatch):
         low = min(survivors.values())
         assert value == -1 + low < baseline
         assert survivors[coords] == low
+
+
+@pytest.mark.parametrize("p", [3, pytest.param(5, marks=pytest.mark.slow)])
+def test_tau_classes_match_page_engine_row5(p, monkeypatch):
+    """Each d6 class _tau_minimum enumerates (one per line, leading
+    coordinate 1), made a full choice and run through the page engine: its
+    degree-(1,5) survivors are the factored s15.  No differential lands in
+    row 5 after d6, so this is run_choice's (1,5) dimension."""
+    zero4 = (0,) * ss.base_dim(4)
+    checked = 0
+    for fr, w, tau_reps, s15, _ in tau_minimum_calls(p, monkeypatch):
+        d4x = None
+        if fr.x_alive:
+            reps = fr.page40_reps()
+            d4x = next(
+                c for c in product(range(p), repeat=len(reps))
+                if ss._combine(p, c, reps, ss.base_dim(4)) == w
+            )
+        d4xy = (0,) * len(fr.page42_reps())
+        k = len(tau_reps)
+        for lead in range(k):
+            for tail in product(range(p), repeat=k - 1 - lead):
+                coords = (0,) * lead + (1,) + tail
+                choice = ss.DifferentialChoice(a=fr.a, d3y=fr.v, d4x=d4x, d4xy=d4xy, d6xy=coords)
+                tau = apply_linear(p, tau_reps, coords)
+                assert len(ss._Run(p, choice).row5_cycles(1, 7)) == s15(zero4, tau, w), (
+                    fr.a, fr.v, w, coords,
+                )
+                checked += 1
+    assert checked == {3: 5255, 5: 82807}[p]
 
 
 def test_proof_gate_survives_optimize_flag():
