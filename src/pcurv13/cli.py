@@ -17,10 +17,6 @@ from fractions import Fraction
 from . import bazaikin, cohomology, groups, pipeline, spectral
 
 
-class SystemExit2(Exception):
-    """Invalid input; mapped to exit code 2."""
-
-
 def _emit(data) -> None:
     json.dump(data, sys.stdout, indent=2, sort_keys=False)
     sys.stdout.write("\n")
@@ -74,7 +70,7 @@ def cmd_bazaikin_check(args) -> int:
 
 def cmd_bazaikin_enumerate(args) -> int:
     if args.bound < 1:
-        raise SystemExit2("--bound must be at least 1")
+        raise ValueError("--bound must be at least 1")
     spaces = bazaikin.enumerate_spaces(args.bound)
     if args.format == "json":
         _emit(
@@ -103,20 +99,14 @@ def cmd_bazaikin_enumerate(args) -> int:
 
 def cmd_group_build(args) -> int:
     if args.burnside and args.name:
-        raise SystemExit2("give either --burnside or --name, not both")
+        raise ValueError("give either --burnside or --name, not both")
     if args.burnside:
         m, n, r = args.burnside
-        try:
-            G = groups.build_burnside(groups.BurnsideParams(m, n, r))
-        except groups.GroupError as exc:
-            raise SystemExit2(str(exc))
+        G = groups.build_burnside(groups.BurnsideParams(m, n, r))
     elif args.name:
-        try:
-            G = groups.build_standard(args.name)
-        except groups.GroupError as exc:
-            raise SystemExit2(str(exc))
+        G = groups.build_standard(args.name)
     else:
-        raise SystemExit2("one of --burnside m n r or --name NAME is required")
+        raise ValueError("one of --burnside m n r or --name NAME is required")
     if args.out:
         groups.write_group_file(G, args.out)
         print(f"wrote order-{G.order} table to {args.out}")
@@ -131,7 +121,7 @@ def cmd_group_analyze(args) -> int:
     try:
         G = groups.read_group_file(args.infile)
     except (OSError, groups.GroupError, ValueError) as exc:
-        raise SystemExit2(f"cannot read group table: {exc}")
+        raise ValueError(f"cannot read group table: {exc}")
     primes = groups.prime_divisors(G.order)
     is_p_group = len(primes) == 1
     davis = groups.davis_decomposition(G)
@@ -169,10 +159,7 @@ def cmd_group_analyze(args) -> int:
 
 
 def cmd_fixedpoint_profiles(args) -> int:
-    try:
-        profiles = cohomology.enumerate_profiles(args.budget, args.dim)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    profiles = cohomology.enumerate_profiles(args.budget, args.dim)
     payload = {"profiles": [list(p.components) for p in profiles]}
     if args.json:
         _emit(payload)
@@ -185,7 +172,7 @@ def cmd_fixedpoint_profiles(args) -> int:
 def _parse_space(label: str) -> tuple[int, ...]:
     if label in cohomology.COMPONENT_BETTI:
         return cohomology.COMPONENT_BETTI[label]
-    raise SystemExit2(
+    raise ValueError(
         f"unknown space {label!r}; choose from {sorted(cohomology.COMPONENT_BETTI)}"
     )
 
@@ -219,11 +206,11 @@ def cmd_fixedpoint_obstruct(args) -> int:
     try:
         group = cohomology.QuotientIndex.parse(args.group)
     except ValueError as exc:
-        raise SystemExit2(f"bad --group (want cd:D or zpxzp:P): {exc}")
+        raise ValueError(f"bad --group (want cd:D or zpxzp:P): {exc}")
     try:
         lef = [int(x) for x in args.lef.split(",") if x.strip()]
     except ValueError:
-        raise SystemExit2("--lef wants a comma-separated integer list")
+        raise ValueError("--lef wants a comma-separated integer list")
     res = cohomology.divisibility_obstruction(group, lef)
     _emit(
         {
@@ -241,10 +228,7 @@ def cmd_fixedpoint_obstruct(args) -> int:
 
 
 def cmd_ss_verify(args) -> int:
-    try:
-        report = spectral.exhaustive_verdict(args.p)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    report = spectral.exhaustive_verdict(args.p)
     payload = {
         "p": report.p,
         "choices": report.choices_examined,
@@ -382,9 +366,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, groups.GroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

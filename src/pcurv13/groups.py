@@ -10,6 +10,11 @@ The table itself is a read-only numpy array; queries that walk subgroups
 use plain Python sets over indices.  A subgroup closure grows a frontier by
 right multiplication with its generators, and element orders come from one
 power walk per cyclic subgroup, so both cost a few lookups per element.
+
+Subgroup patterns take two searches: one abelian-product search grows
+Z_p x Z_p, Z9xZ3 or Z3^3 a generator at a time over a numpy mask of the
+elements commuting with all so far, and the non-abelian order-27 patterns
+are non-commuting pairs in one Sylow 3-subgroup that close to 27 elements.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from itertools import product
+from math import gcd, prod
 from typing import Iterable, Optional
 
 import numpy as np
@@ -240,6 +246,8 @@ def trivial_subgroup(G: GroupTable) -> SubgroupHandle:
 
 
 def cyclic(n: int, name: str | None = None) -> GroupTable:
+    if not 1 <= n <= ORDER_CAP:
+        raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
     idx = np.arange(n)
     return GroupTable((idx[:, None] + idx[None, :]) % n, name=name or f"Z{n}")
 
@@ -477,20 +485,7 @@ def p2_condition(G: GroupTable, p: int) -> bool:
     """True iff G has no subgroup isomorphic to Z_p x Z_p (equivalently
     every subgroup of order p^2 is cyclic)."""
     _require_prime(p)
-    return not _contains_elem_abelian_rank2(G, p)
-
-
-def _contains_elem_abelian_rank2(G: GroupTable, p: int) -> bool:
-    elems = [g for g in range(1, G.order) if int(G.element_order[g]) == p]
-    spans: dict[int, frozenset[int]] = {}
-    for i, x in enumerate(elems):
-        spans[x] = G.cyclic_span(x)
-        for y in elems[:i]:
-            if y in spans[x]:
-                continue
-            if G.table[x, y] == G.table[y, x]:
-                return True
-    return False
+    return not _contains_abelian(G, (p, p))
 
 
 def two_p_condition(G: GroupTable) -> bool:
@@ -507,85 +502,64 @@ PATTERNS = ("ZpxZp", "Z9xZ3", "Z3cubed", "U33", "Z9semiZ3")
 
 def contains_copy(G: GroupTable, pattern: str, p: int | None = None) -> bool:
     """Whether some subgroup of G is isomorphic to the named pattern."""
-    if pattern == "ZpxZp":
-        if p is None:
-            raise GroupError("pattern ZpxZp needs the prime p")
-        return _contains_elem_abelian_rank2(G, p)
-    if pattern == "Z9xZ3":
-        return _contains_z9xz3(G)
-    if pattern == "Z3cubed":
-        return _contains_z3_cubed(G)
     if pattern in ("U33", "Z9semiZ3"):
         return _contains_nonabelian27(G, pattern)
-    raise GroupError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
+    if pattern == "ZpxZp" and p is None:
+        raise GroupError("pattern ZpxZp needs the prime p")
+    orders = {"ZpxZp": (p, p), "Z9xZ3": (9, 3), "Z3cubed": (3, 3, 3)}
+    if pattern not in orders:
+        raise GroupError(f"unknown pattern {pattern!r}; expected one of {PATTERNS}")
+    return _contains_abelian(G, orders[pattern])
 
 
-def _contains_z9xz3(G: GroupTable) -> bool:
-    if G.order % 27 != 0:
+def _contains_abelian(G: GroupTable, orders: tuple[int, ...]) -> bool:
+    """Whether some subgroup of G is Z_{o1} x ... x Z_{ok} for these orders.
+
+    H grows one generator at a time: the next generator z has the next
+    order, commutes with every earlier one and meets H only in the
+    identity, so H becomes H x <z>.  Generators of equal order are taken in
+    increasing index.  That loses no subgroup, because the greedy basis of
+    an elementary abelian group (each element the smallest not yet
+    spanned) is increasing.
+    """
+    if G.order % prod(orders):
         return False
-    nines = [g for g in range(1, G.order) if int(G.element_order[g]) == 9]
-    threes = [g for g in range(1, G.order) if int(G.element_order[g]) == 3]
-    for x in nines:
-        span = G.cyclic_span(x)
-        for y in threes:
-            if y in span:
+
+    def grow(level: int, H: set[int], commuting: np.ndarray, last: int) -> bool:
+        zs = np.flatnonzero(commuting & (G.element_order == orders[level]))
+        if level and orders[level] == orders[level - 1]:
+            zs = zs[zs > last]
+        for z in zs.tolist():
+            span = G.cyclic_span(z)
+            if not H.isdisjoint(span - {0}):
                 continue
-            if G.table[x, y] == G.table[y, x]:
+            if level + 1 == len(orders):
                 return True
-    return False
-
-
-def _contains_z3_cubed(G: GroupTable) -> bool:
-    if G.order % 27 != 0:
+            grown = {G.table.item(h, s) for h in H for s in span}
+            if grow(level + 1, grown, commuting & (G.table[z] == G.table[:, z]), z):
+                return True
         return False
-    threes = [g for g in range(1, G.order) if int(G.element_order[g]) == 3]
-    for i, x in enumerate(threes):
-        for y in threes[i + 1 :]:
-            if G.table[x, y] != G.table[y, x] or y in G.cyclic_span(x):
-                continue
-            plane = _closure_indices(G.table, (x, y), cap=9)
-            if plane is None or len(plane) != 9:
-                continue
-            pset = set(plane)
-            for z in threes:
-                if z in pset:
-                    continue
-                if G.table[x, z] == G.table[z, x] and G.table[y, z] == G.table[z, y]:
-                    return True
-    return False
+
+    return grow(0, {0}, np.ones(G.order, dtype=bool), 0)
 
 
 def _contains_nonabelian27(G: GroupTable, label: str) -> bool:
-    if G.order % 27 != 0 or G.is_abelian:
+    """A non-abelian group of order 27 is generated by two non-commuting
+    elements, one of order 3 and one of the group's exponent (9 for
+    Z9semiZ3, 3 for U33).  Such pairs are searched in one Sylow 3-subgroup,
+    which holds a conjugate of every 3-subgroup."""
+    if G.order % 27 or G.is_abelian:
         return False
-    P = sylow(G, 3)
-    if P.order < 27:
-        return False
-    S = P.as_group()
-    if S.is_abelian:
-        return False
-    if S.order == 27:
-        return classify_order_27(S) == label
-    # search two-generated order-27 subgroups inside the Sylow subgroup
-    want_nine = label == "Z9semiZ3"
-    xs = [
-        g
-        for g in range(1, S.order)
-        if int(S.element_order[g]) == (9 if want_nine else 3)
-    ]
-    ys = [g for g in range(1, S.order) if int(S.element_order[g]) == 3]
-    seen: set[tuple[int, ...]] = set()
-    for x in xs:
-        for y in ys:
-            if y == x:
-                continue
-            sub = _closure_indices(S.table, (x, y), cap=27)
-            if sub is None or len(sub) != 27 or sub in seen:
-                continue
-            seen.add(sub)
-            H = SubgroupHandle(S, sub).as_group()
-            if not H.is_abelian and classify_order_27(H) == label:
-                return True
+    exponent = 9 if label == "Z9semiZ3" else 3
+    P = sylow(G, 3).elements
+    xs = [g for g in P if int(G.element_order[g]) == exponent]
+    ys = [g for g in P if int(G.element_order[g]) == 3]
+    for x, y in product(xs, ys):
+        if G.table.item(x, y) == G.table.item(y, x):
+            continue
+        sub = _closure_indices(G.table, (x, y), cap=27)
+        if sub is not None and len(sub) == 27 and max(int(G.element_order[g]) for g in sub) == exponent:
+            return True
     return False
 
 
@@ -669,9 +643,6 @@ def min_cyclic_index(G: GroupTable) -> int:
     return G.order // int(G.element_order.max())
 
 
-ORDER27_LABELS = ("Z27", "Z9xZ3", "Z3cubed", "Z9semiZ3", "U33")
-
-
 def classify_order_27(G: GroupTable) -> str:
     """The isomorphism type of a group of order 27, by abelianness and
     exponent (which separate all five types)."""
@@ -720,32 +691,28 @@ def is_isomorphic(G: GroupTable, H: GroupTable) -> bool:
     if len(G.center()) != len(H.center()):
         return False
     gens = _generating_set(G.table)
-    return _find_iso(G, H, gens, [], set())
+    return _find_iso(G, H, gens, [])
 
 
-def _find_iso(G, H, gens, images, used) -> bool:
+def _find_iso(G, H, gens, images) -> bool:
     i = len(images)
     if i == len(gens):
-        # _verify_partial built phi over the closure of every generator,
-        # which is G, checking each edge a -> a*g and injectivity: phi is
-        # a bijective homomorphism already
+        # _build_map checked phi as an injective homomorphism on the
+        # closure of every generator, which is G: phi is bijective
         return True
     want = int(G.element_order[gens[i]])
-    prefix_size = len(_closure_indices(G.table, gens[: i + 1]))
     for h in range(1, H.order):
-        if h in used or int(H.element_order[h]) != want:
+        if h in images or int(H.element_order[h]) != want:
             continue
         trial = images + [h]
-        span = _closure_indices(H.table, trial)
-        if len(span) != prefix_size:
-            continue
-        if _verify_partial(G, H, gens[: i + 1], trial):
-            if _find_iso(G, H, gens, trial, used | {h}):
-                return True
+        if _build_map(G, H, gens[: i + 1], trial) and _find_iso(G, H, gens, trial):
+            return True
     return False
 
 
-def _build_map(G, H, gens, images) -> Optional[dict[int, int]]:
+def _build_map(G, H, gens, images) -> bool:
+    """Whether gens -> images extends to an injective homomorphism on the
+    subgroup the gens generate, grown along the edges a -> a*g."""
     phi = {0: 0}
     frontier = [0]
     while frontier:
@@ -753,22 +720,15 @@ def _build_map(G, H, gens, images) -> Optional[dict[int, int]]:
         for a in frontier:
             fa = phi[a]
             for g, h in zip(gens, images):
-                b = int(G.table[a, g])
-                fb = int(H.table[fa, h])
+                b = G.table.item(a, g)
+                fb = H.table.item(fa, h)
                 if b in phi:
                     if phi[b] != fb:
-                        return None
+                        return False
                 else:
                     phi[b] = fb
                     nxt.append(b)
         frontier = nxt
-    return phi
-
-
-def _verify_partial(G, H, gens, images) -> bool:
-    phi = _build_map(G, H, gens, images)
-    if phi is None:
-        return False
     return len(set(phi.values())) == len(phi)
 
 

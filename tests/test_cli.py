@@ -196,6 +196,7 @@ def test_theorem_a_summary(capsys):
             "invalid Burnside parameters BurnsideParams(m=4, n=2, r=3): gcd((r-1)*n, m) = 4 != 1",
         ),
         ("group build --name Q8", "unknown group name 'Q8'"),
+        ("group build --name Z1000000", "order 1000000 outside supported range 1..512"),
         (
             "group analyze --in {tmp}/missing.grp",
             "cannot read group table: [Errno 2] No such file or directory: '{tmp}/missing.grp'",

@@ -80,6 +80,12 @@ def test_validation_catches_broken_tables():
         gr.GroupTable([[1, 0], [0, 1]])
 
 
+def test_cyclic_checks_the_cap_before_building():
+    # the table of Z_{10^6} would take 8 TB: the cap must reject it first
+    with pytest.raises(gr.GroupError, match="order 1000000 outside supported range 1..512"):
+        gr.cyclic(10**6)
+
+
 def test_lights_test_agrees_with_full_associativity():
     for G in [gr.cyclic(6), gr.symmetric3(), gr.direct_product(gr.cyclic(3), gr.symmetric3())]:
         assert full_associativity(G)  # the validated tables really associate
