@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given
@@ -265,6 +265,30 @@ def test_enumerate_output_is_canonical_sorted_unique():
             for b in combinations(range(5), 2):
                 if set(a).isdisjoint(b):
                     assert math.gcd(e[a[0]] + e[a[1]], e[b[0]] + e[b[1]]) == 2
+
+
+def enumerate_oracle(bound):
+    """Every 5-multiset of integers in [-bound, bound], evens included, kept
+    when all 10 pair-sums are positive and the 120-permutation freeness
+    check passes, then canonicalized."""
+    found = set()
+    for m in combinations_with_replacement(range(-bound, bound + 1), 5):
+        if all(a + b > 0 for a, b in combinations(m, 2)) and freeness_oracle_120(m):
+            found.add(bz.QTuple.of(*m))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("bound,count", [(1, 1), (3, 2), (7, 13), (11, 57), (19, 422)])
+def test_enumerate_matches_exhaustive_oracle(bound, count):
+    out = bz.enumerate_spaces(bound)
+    assert out == enumerate_oracle(bound)
+    assert len(out) == count
+
+
+def test_enumerate_even_bound_equals_the_odd_bound_below():
+    out = bz.enumerate_spaces(20)
+    assert out == bz.enumerate_spaces(19)
+    assert len(out) == 422
 
 
 def test_enumerate_rejects_bad_bound():

@@ -40,6 +40,15 @@ def test_bazaikin_enumerate_tsv(capsys):
     assert len(lines) == 2 and lines[1].startswith("1\t1\t1\t1\t1")
 
 
+def test_bazaikin_enumerate_tsv_bound_7(capsys):
+    code, out, _ = run_cli(capsys, "bazaikin", "enumerate", "--bound", "7", "--format", "tsv")
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert header == "q1\tq2\tq3\tq4\tq5\te3\tm\tm_integral\tmod3_type"
+    assert len(rows) == 13
+    assert all(len(row.split("\t")) == 9 for row in rows)
+
+
 def test_bazaikin_enumerate_json(capsys):
     code, out, _ = run_cli(capsys, "bazaikin", "enumerate", "--bound", "3", "--format", "json")
     data = json.loads(out)

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
@@ -448,6 +449,32 @@ def test_z9_semi_z3_structure():
     assert H.order == 9 and H.is_normal
 
 
+def product_by_digits(factors):
+    """Direct product table entry by entry in mixed radix: the element
+    (g1, ..., gk) has index ravel_multi_index((g1, ..., gk), orders)."""
+    orders = tuple(F.order for F in factors)
+    digits = np.unravel_index(np.arange(prod(orders)), orders)
+    return np.ravel_multi_index(
+        tuple(F.table[np.ix_(d, d)] for F, d in zip(factors, digits)), orders
+    )
+
+
+def catalog_factor(term):
+    named = {"U33": gr.unitriangular27, "Z9semiZ3": gr.z9_semi_z3}
+    return named[term]() if term in named else gr.cyclic(int(term[1:]))
+
+
+@pytest.mark.parametrize("name", [*pipeline._THREE_GROUP_CATALOG, "Z16xU33"])
+def test_product_tables_match_mixed_radix_oracle(name):
+    terms = name.split("x")
+    want = product_by_digits([catalog_factor(t) for t in terms])
+    G = gr.build_standard(name)
+    assert np.array_equal(G.table, want) and G.name == name
+    if all(t.startswith("Z") and t[1:].isdigit() for t in terms):
+        A = gr.abelian(int(t[1:]) for t in terms)
+        assert np.array_equal(A.table, want) and A.name == name
+
+
 def test_build_standard_products():
     G = gr.build_standard("Z3xZ3xZ3")
     assert G.order == 27 and G.is_abelian and G.exponent == 3
@@ -492,6 +519,17 @@ def test_is_isomorphic_past_every_prefilter():
         perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
         inv = np.argsort(perm)
         assert gr.is_isomorphic(G, gr.GroupTable(perm[G.table[np.ix_(inv, inv)]]))
+
+
+def test_subgroup_handle_rejects_non_closed_sets():
+    G = gr.symmetric3()
+    with pytest.raises(gr.GroupError, match="not closed"):
+        gr.SubgroupHandle(G, (0, 2))
+    with pytest.raises(gr.GroupError, match="not closed"):
+        gr.SubgroupHandle(gr.cyclic(6), (0, 2, 3))
+    with pytest.raises(gr.GroupError, match="identity"):
+        gr.SubgroupHandle(G, (1, 2))
+    assert gr.SubgroupHandle(G, (0, 2, 4)).order == 3
 
 
 def test_subgroup_as_group_valid():
