@@ -8,6 +8,11 @@ which is *not* always an integer for admissible tuples (e.g. (1,1,1,1,1)
 gives 10/8); we report it exactly with an integrality flag rather than
 guessing a correction.
 
+The catalog walks only the positive-curvature cone: a nonincreasing tuple
+is positively curved iff q4 + q5 > 0, so at least four entries are
+positive and the descending tuple is already canonical.  Each candidate
+is met once, filtered by freeness, and gated on curvature.
+
 All arithmetic is exact (ints and Fraction); no floats anywhere.
 """
 
@@ -262,18 +267,27 @@ def mod3_type(q: QTuple | tuple[int, ...]) -> str:
 
 def enumerate_spaces(bound: int) -> list[QTuple]:
     """All canonical admissible tuples with max|q_i| <= bound and positive
-    curvature; sorted lexicographically, duplicate-free."""
+    curvature; sorted lexicographically, duplicate-free.
+
+    Only the positive-curvature cone is walked.  For q1 >= ... >= q5 the
+    smallest pair-sum is q4 + q5, so positive curvature is q4 + q5 > 0:
+    at most q5 is <= 0, the majority is positive, and the descending tuple
+    is already canonical.  The candidates are four positive odd entries,
+    nonincreasing, and an odd q5 with -q4 < q5 <= q4 (3289 at bound 19, of
+    42504 odd multisets), each met once.  ``QTuple`` still verifies the
+    canonical form, freeness filters, and a returned tuple that is not
+    positively curved raises ``ProofGateError``.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    odd_values = [v for v in range(-bound, bound + 1) if v % 2 != 0]
-    found = set()
-    for entries in combinations_with_replacement(sorted(odd_values, reverse=True), 5):
-        q = QTuple.of(*entries)
-        if q in found:
-            continue
-        if check_curvature(q) is not Curvature.POSITIVE_ALL:
-            continue
-        if not check_free(q).verdict:
-            continue
-        found.add(q)
-    return sorted(found)
+    positive_odd = range(bound if bound % 2 else bound - 1, 0, -2)
+    spaces = []
+    for q1, q2, q3, q4 in combinations_with_replacement(positive_odd, 4):
+        for q5 in range(q4, -q4, -2):
+            q = QTuple((q1, q2, q3, q4, q5))
+            if not check_free(q).verdict:
+                continue
+            if check_curvature(q) is not Curvature.POSITIVE_ALL:
+                raise ProofGateError(f"enumerated tuple {q.q} is not positively curved")
+            spaces.append(q)
+    return sorted(spaces)

@@ -200,6 +200,15 @@ class SubgroupHandle:
         if not np.isin(prods, arr).all():
             raise GroupError("element set is not closed under multiplication")
 
+    @classmethod
+    def _closed(cls, parent: GroupTable, elements: tuple[int, ...]) -> "SubgroupHandle":
+        """Handle on a sorted index set that is a subgroup by construction,
+        such as a closure: skips the |H|^2 check a caller's set gets."""
+        H = object.__new__(cls)
+        object.__setattr__(H, "parent", parent)
+        object.__setattr__(H, "elements", elements)
+        return H
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -234,7 +243,7 @@ def closure(G: GroupTable, seed: Iterable[int], cap: int | None = None) -> Optio
     elems = _closure_indices(G.table, seed, cap)
     if elems is None:
         return None
-    return SubgroupHandle(G, elems)
+    return SubgroupHandle._closed(G, elems)
 
 
 def trivial_subgroup(G: GroupTable) -> SubgroupHandle:
@@ -246,34 +255,42 @@ def trivial_subgroup(G: GroupTable) -> SubgroupHandle:
 
 
 def cyclic(n: int, name: str | None = None) -> GroupTable:
+    return GroupTable(_cyclic_table(n), name=name or f"Z{n}")
+
+
+def _cyclic_table(n: int) -> np.ndarray:
     if not 1 <= n <= ORDER_CAP:
         raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
     idx = np.arange(n)
-    return GroupTable((idx[:, None] + idx[None, :]) % n, name=name or f"Z{n}")
+    return (idx[:, None] + idx[None, :]) % n
 
 
 def direct_product(G: GroupTable, H: GroupTable, name: str | None = None) -> GroupTable:
-    n1, n2 = G.order, H.order
-    if n1 * n2 > ORDER_CAP:
-        raise GroupError(f"product order {n1 * n2} exceeds cap {ORDER_CAP}")
-    T = (G.table[:, None, :, None] * n2 + H.table[None, :, None, :]).reshape(
-        n1 * n2, n1 * n2
-    )
-    return GroupTable(T, name=name or f"{G.name}x{H.name}")
+    return GroupTable(_product_table([G.table, H.table]), name=name or f"{G.name}x{H.name}")
+
+
+def _product_table(tables: Iterable[np.ndarray]) -> np.ndarray:
+    """Raw table of a direct product, folded left to right in mixed radix:
+    (g1, ..., gk) has index (...(g1 n2 + g2) n3 + ...) nk + gk.
+
+    No intermediate product becomes a GroupTable; the caller validates the
+    final one, which is a group only if every factor is.  The order cap is
+    checked before each step of the fold.
+    """
+    tables = iter(tables)
+    T = next(tables)
+    for H in tables:
+        n1, n2 = len(T), len(H)
+        if n1 * n2 > ORDER_CAP:
+            raise GroupError(f"product order {n1 * n2} exceeds cap {ORDER_CAP}")
+        T = (T[:, None, :, None] * n2 + H[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+    return T
 
 
 def abelian(orders: Iterable[int], name: str | None = None) -> GroupTable:
-    orders = list(orders)
-    if not orders:
-        return cyclic(1, name=name)
-    G = cyclic(orders[0])
-    for k in orders[1:]:
-        G = direct_product(G, cyclic(k))
-    if name:
-        G.name = name
-    else:
-        G.name = "x".join(f"Z{k}" for k in orders)
-    return G
+    orders = list(orders) or [1]
+    table = _product_table(_cyclic_table(k) for k in orders)
+    return GroupTable(table, name=name or "x".join(f"Z{k}" for k in orders))
 
 
 def metacyclic(m: int, n: int, r: int, name: str | None = None) -> GroupTable:
@@ -283,6 +300,10 @@ def metacyclic(m: int, n: int, r: int, name: str | None = None) -> GroupTable:
     automorphism has order dividing n).  No coprimality is imposed here;
     see build_burnside for the classified family.
     """
+    return GroupTable(_metacyclic_table(m, n, r), name=name or f"M({m},{n},{r})")
+
+
+def _metacyclic_table(m: int, n: int, r: int) -> np.ndarray:
     if m < 1 or n < 1:
         raise GroupError("m and n must be positive")
     if m * n > ORDER_CAP:
@@ -296,12 +317,16 @@ def metacyclic(m: int, n: int, r: int, name: str | None = None) -> GroupTable:
     R = np.array([pow(r, int(j), m) for j in range(n)]) if m > 1 else np.ones(n, dtype=np.int64)
     TI = (I[:, None] + R[J][:, None] * I[None, :]) % m
     TJ = (J[:, None] + J[None, :]) % n
-    return GroupTable(TI * n + TJ, name=name or f"M({m},{n},{r})")
+    return TI * n + TJ
 
 
 def unitriangular27(name: str = "U33") -> GroupTable:
     """Upper unitriangular 3x3 matrices over the field with three elements,
     on triples (x, y, z) with (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y')."""
+    return GroupTable(_unitriangular27_table(), name=name)
+
+
+def _unitriangular27_table() -> np.ndarray:
     n = 27
     T = np.zeros((n, n), dtype=np.int64)
     for a in range(n):
@@ -309,16 +334,21 @@ def unitriangular27(name: str = "U33") -> GroupTable:
         for b in range(n):
             x2, y2, z2 = b // 9, (b // 3) % 3, b % 3
             T[a, b] = ((x + x2) % 3) * 9 + ((y + y2) % 3) * 3 + (z + z2 + x * y2) % 3
-    return GroupTable(T, name=name)
+    return T
+
+
+# metacyclic (m, n, r) of the next two groups, shared with build_standard
+_Z9_SEMI_Z3 = (9, 3, 4)
+_S3 = (3, 2, 2)
 
 
 def z9_semi_z3(name: str = "Z9sZ3") -> GroupTable:
     """Nonabelian order 27 with an order-9 element: b a b^{-1} = a^4."""
-    return metacyclic(9, 3, 4, name=name)
+    return metacyclic(*_Z9_SEMI_Z3, name=name)
 
 
 def symmetric3(name: str = "S3") -> GroupTable:
-    return metacyclic(3, 2, 2, name=name)
+    return metacyclic(*_S3, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +389,18 @@ def build_burnside(params: BurnsideParams, name: str | None = None) -> GroupTabl
     Realized on pairs (i mod m, j mod n); A = (1,0) and B = (0,1) satisfy
     the defining relations.
     """
+    return GroupTable(
+        _burnside_table(params), name=name or f"B({params.m},{params.n},{params.r})"
+    )
+
+
+def _burnside_table(params: BurnsideParams) -> np.ndarray:
     bad = params.failing_conditions()
     if bad:
         raise GroupError(
             f"invalid Burnside parameters {params}: " + "; ".join(bad)
         )
-    return metacyclic(
-        params.m, params.n, params.r, name=name or f"B({params.m},{params.n},{params.r})"
-    )
+    return _metacyclic_table(params.m, params.n, params.r)
 
 
 def burnside_generators(params: BurnsideParams) -> tuple[int, int]:
@@ -449,7 +483,7 @@ def sylow(G: GroupTable, p: int) -> SubgroupHandle:
                 break
         else:  # pragma: no cover - impossible for a genuine group
             raise GroupError("Sylow growth stalled")
-    return SubgroupHandle(G, tuple(sorted(current)))
+    return SubgroupHandle._closed(G, tuple(sorted(current)))
 
 
 def _is_p_power(k: int, p: int) -> bool:
@@ -753,29 +787,24 @@ def build_standard(name: str) -> GroupTable:
     terms = [t.strip() for t in re.split(r"[x×*]", name.strip()) if t.strip()]
     if not terms:
         raise GroupError(f"cannot parse group name {name!r}")
-    parts = [_build_term(t) for t in terms]
-    G = parts[0]
-    for P in parts[1:]:
-        G = direct_product(G, P)
-    G.name = name
-    return G
+    return GroupTable(_product_table([_term_table(t) for t in terms]), name=name)
 
 
-def _build_term(term: str) -> GroupTable:
+def _term_table(term: str) -> np.ndarray:
     m = _TERM_RE.match(term)
     if not m:
         raise GroupError(f"unknown group name {term!r}")
     if m.group("cyc"):
-        return cyclic(int(m.group("cyc")))
+        return _cyclic_table(int(m.group("cyc")))
     if m.group("semi"):
-        return z9_semi_z3()
+        return _metacyclic_table(*_Z9_SEMI_Z3)
     if m.group("s3"):
-        return symmetric3()
+        return _metacyclic_table(*_S3)
     if m.group("bm"):
-        return build_burnside(
+        return _burnside_table(
             BurnsideParams(int(m.group("bm")), int(m.group("bn")), int(m.group("br")))
         )
-    return unitriangular27()
+    return _unitriangular27_table()
 
 
 def write_group_file(G: GroupTable, path) -> None:
