@@ -264,6 +264,117 @@ def unreduced_sweep(p):
     return (examined, best, best_choice), per_frame
 
 
+def every_class_frame_minimum(fr):
+    """(choices, min, minimizing choice) of one frame with no line reduction:
+    the sweep's per-frame loop over every page class of d4(x), each of
+    weight 1, and every nonzero d4(xy), classes in counter order."""
+    p = fr.p
+    zero4, zero6 = (0,) * ss.base_dim(4), (0,) * ss.base_dim(6)
+    vR3, vR4 = fr.ideal_piece(fr.v, 3, 3), fr.ideal_piece(fr.v, 3, 4)
+    uR2, uR3 = fr.ideal_piece(fr.u, 2, 2), fr.ideal_piece(fr.u, 2, 3)
+    dim_ker_v4 = len(ss._restrict(p, ss._std_basis(4), 4, fr.v, 3))
+    s33_top = len(fr.u_kernel(3)) - fr.ideal_piece(fr.xi, 3, 0).dim
+
+    def join_rank(sub, w, m):
+        return gfp.rank([sub.reduce(x) for x in ss._products(p, ss._std_basis(m), m, w, 4)], p)
+
+    def s15(omega, tau, w):
+        basis = ss._restrict(p, ss._std_basis(1), 1, fr.xi, 3)
+        basis = ss._restrict(p, basis, 1, omega, 4, uR3)
+        if any(tau):
+            basis = ss._restrict(p, basis, 1, tau, 6, vR4.join(fr.mul_all(w, 4, 3)))
+        return len(basis)
+
+    def classes(reps):
+        if not reps:
+            return [((), zero4)]
+        return [(c, apply_linear(p, reps, c)) for c in product(range(p), repeat=len(reps))]
+
+    s42_zero = dim_ker_v4 - uR2.dim
+    s15_zero = s15(zero4, zero6, zero4)
+    if fr.xy_alive4:
+        om_reps = fr.page42_reps()
+        om_nonzero = [
+            (c, dim_ker_v4 - uR2.join([om]).dim + s15(om, zero6, zero4))
+            for c, om in classes(om_reps)
+            if any(c)
+        ]
+        om_share = min((s for _, s in om_nonzero), default=None)
+        om_pick = min((c for c, s in om_nonzero if s == om_share), default=None)
+    examined, best, best_parts = 0, None, None
+    for w_coords, w in classes(fr.page40_reps() if fr.x_alive else []):
+        fixed = (7 - vR3.dim - join_rank(vR3, w, 2)) + (s33_top - join_rank(vR4, w, 3))
+        if not fr.xy_alive4:
+            options = [(1, s42_zero + s15_zero, (w_coords, None, None))]
+        else:
+            tau_reps = fr.page60_reps(w)
+            t_share, t_coords = (
+                ss._tau_minimum(fr, w, tau_reps, s15)[:2] if tau_reps else (s15_zero, ())
+            )
+            options = [
+                (len(om_nonzero), om_share, (w_coords, om_pick, None)),
+                (p ** len(tau_reps), s42_zero + t_share, (w_coords, (0,) * len(om_reps), t_coords)),
+            ]
+        for count, share, parts in options:
+            if count:
+                examined += count
+                if best is None or fixed + share < best:
+                    best, best_parts = fixed + share, parts
+    w_coords, om_coords, tau_coords = best_parts
+    choice = ss.DifferentialChoice(
+        a=fr.a,
+        d3y=fr.v,
+        d4x=w_coords if fr.x_alive else None,
+        d4xy=om_coords if fr.xy_alive4 else None,
+        d6xy=tau_coords,
+    )
+    return examined, best, choice
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_frame_minimum_matches_every_class_loop(p):
+    """_frame_minimum against the loop over every d4(x) and d4(xy) class:
+    every frame at p = 3, every frame orbit representative at p = 5."""
+    frames = unreduced_frames(p) if p == 3 else [f for f, _ in ss._frame_orbits(p)]
+    for a, v in frames:
+        fr = ss._Frame(p, a, v)
+        assert ss._frame_minimum(fr)[:3] == every_class_frame_minimum(fr), (a, v)
+    assert len(frames) == {3: 267, 5: 22}[p]
+
+
+def full_frame_generators(p):
+    """GL_2(F_p) and both rescalings on (R_2, R_3), scalars included."""
+    z = ss._primitive_root(p)
+
+    def scaling(k):
+        return tuple(tuple(z * x % p for x in e) for e in ss._std_basis(k))
+
+    subs = [(ss._substitution(p, g, 2), ss._substitution(p, g, 3)) for g in ss._gl2_generators(p)]
+    return subs + [(scaling(2), ss._std_basis(3)), (ss._std_basis(2), scaling(3))]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_orbit_builds_match_orbits_of_every_point(p):
+    """The sweep's orbit builds against _orbits over every frame and every
+    zero-frame d4 value, under generators that include the scalars:
+    same representatives, same sizes, same order."""
+    gens = full_frame_generators(p)
+
+    def act_frame(g, frame):
+        return apply_linear(p, g[0], frame[0]), apply_linear(p, g[1], frame[1])
+
+    frames = unreduced_frames(p)
+    assert ss._frame_orbits(p) == ss._orbits(frames, gens, act_frame)
+
+    def act_d4(g, w):
+        return apply_linear(p, g, w)
+
+    d4_gens = [ss._substitution(p, g, 4) for g in ss._gl2_generators(p)]
+    d4_gens.append(tuple(tuple(x * ss._primitive_root(p) % p for x in e) for e in ss._std_basis(4)))
+    values = list(product(range(p), repeat=5))
+    assert ss._zero_frame_d4x_orbits(p) == ss._orbits(values, d4_gens, act_d4)
+
+
 def gl2(p):
     return [((a, b), (c, d)) for a, b, c, d in product(range(p), repeat=4) if (a * d - b * c) % p]
 
