@@ -258,6 +258,9 @@ def cmd_ss_verify(args) -> int:
             "frames": st.frames,
             "frame_orbits": st.frame_orbits,
             "zero_frame_d4x_orbits": st.zero_frame_d4x_orbits,
+            "d4x_lines": st.d4x_lines,
+            "d4xy_lines": st.d4xy_lines,
+            "d6_lines": st.d6_lines,
             "choices": report.choices_examined,
             "orbit_build_s": st.orbit_build_s,
             "frame_sweep_s": st.frame_sweep_s,
@@ -345,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--trace", action="store_true")
     vf.add_argument(
         "--stats", action="store_true",
-        help="add frame and orbit counts and the time of each stage",
+        help="add frame, orbit and line counts and the time of each stage",
     )
     vf.set_defaults(func=cmd_ss_verify)
 

@@ -203,7 +203,8 @@ class SubgroupHandle:
     @classmethod
     def _closed(cls, parent: GroupTable, elements: tuple[int, ...]) -> "SubgroupHandle":
         """Handle on a sorted index set that is a subgroup by construction,
-        such as a closure: skips the |H|^2 check a caller's set gets."""
+        such as a closure, or that its builder has just checked: skips the
+        |H|^2 check a caller's set gets."""
         H = object.__new__(cls)
         object.__setattr__(H, "parent", parent)
         object.__setattr__(H, "elements", elements)
@@ -669,7 +670,7 @@ def normal_p_complement(G: GroupTable, p: int) -> Optional[SubgroupHandle]:
     prods = G.table[np.ix_(arr, arr)]
     if not np.isin(prods, arr).all():
         return None
-    return SubgroupHandle(G, tuple(coprime))
+    return SubgroupHandle._closed(G, tuple(coprime))
 
 
 def min_cyclic_index(G: GroupTable) -> int:
@@ -697,7 +698,7 @@ def davis_decomposition(G: GroupTable) -> Optional[tuple[int, SubgroupHandle]]:
     2-subgroup to be cyclic and normal; returns (2^a, odd part).
     """
     if G.order % 2:
-        return 1, SubgroupHandle(G, tuple(range(G.order)))
+        return 1, SubgroupHandle._closed(G, tuple(range(G.order)))
     N = normal_p_complement(G, 2)
     if N is None:
         return None

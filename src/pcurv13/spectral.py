@@ -36,6 +36,15 @@ evaluates one frame per orbit and weights its count by the orbit size;
 on the zero frame, which the whole group fixes, it reduces the d4 values
 the same way.
 
+Lines.  The two rescalings scale d2 and d3y independently, so every
+orbit is a union of products of lines, and the orbits are built on one
+point per line.  Inside a frame, what d4(x), d4(xy) and d6(xy) do to the
+degree-6 spots depends only on their lines: ranks and kernels of
+multiplication by a vector, and spans joined with it, do not change when
+the vector is scaled by a nonzero c.  So the d4(x) loop takes zero and
+one point per line, the one with leading coordinate 1, weighted p - 1,
+and the d4(xy) and d6 minima run over one point per nonzero line.
+
 Linear algebra is exact over GF(p); everything is deterministic.
 """
 
@@ -45,18 +54,17 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .gfp import (
     Subspace,
     is_zero,
     preimage_subspace,
     rank,
-    span_vectors,
     zero_vec,
 )
 
-SUPPORTED_PRIMES = (3, 5, 7)
+SUPPORTED_PRIMES = (3, 5, 7, 11, 13)
 FIBER_DIMS = (1, 0, 1, 1, 0, 1)
 FIBER_ROWS = (0, 2, 3, 5)
 WINDOW = 7  # report spots with m + n <= WINDOW
@@ -224,12 +232,18 @@ class SweepStats:
 
     ``frames`` is the number of (d2, d3y) frames, ``frame_orbits`` the
     number evaluated (one per orbit), ``zero_frame_d4x_orbits`` the number
-    of d4 values evaluated on the zero frame (out of p^5).
+    of d4 values evaluated on the zero frame (out of p^5).  ``d4x_lines``,
+    ``d4xy_lines`` and ``d6_lines`` count the values of d4(x), d4(xy) and
+    d6(xy) evaluated over all evaluated frames: one per line (d4(x) = 0
+    counted as one), and one per orbit for d4(x) on the zero frame.
     """
 
     frames: int
     frame_orbits: int
     zero_frame_d4x_orbits: int
+    d4x_lines: int
+    d4xy_lines: int
+    d6_lines: int
     orbit_build_s: float
     frame_sweep_s: float
 
@@ -490,17 +504,18 @@ def exhaustive_verdict(p: int) -> VerdictReport:
     """Sweep every admissible DifferentialChoice; report the minimum number
     of survivors in total degree 6 and a choice attaining it.
 
-    The (d2, d3y) frames are enumerated outright and grouped into orbits
-    of GL_2(F_p) x the fiber rescalings (see the module docstring); one
-    frame per orbit is evaluated, the first in sweep order, and its choice
-    count is weighted by the orbit size.  The per-frame count and minimum
-    are invariant under the group, so the total and the minimum equal
-    those of the full sweep, and the reported minimizer is the one the
-    full sweep would report.  On the zero frame the d4 values are reduced
-    by the same group.  Within a frame the remaining coordinates act on
-    the four degree-6 spots through class-invariant quantities with
-    separable couplings, so their loops factor exactly.  ``stats`` reports
-    what was evaluated and where the time went.
+    The (d2, d3y) frames are grouped into orbits of GL_2(F_p) x the fiber
+    rescalings (see the module docstring), built on one point per line;
+    one frame per orbit is evaluated, the first in sweep order, and its
+    choice count is weighted by the orbit size.  The per-frame count and
+    minimum are invariant under the group, so the total and the minimum
+    equal those of the full sweep, and the reported minimizer is the one
+    the full sweep would report.  On the zero frame the d4 values are
+    reduced by the same group.  Within a frame the d4 values are taken one
+    per line, and the remaining coordinates act on the four degree-6 spots
+    through class-invariant quantities with separable couplings, so their
+    loops factor exactly.  ``stats`` reports what was evaluated and where
+    the time went.
     """
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"supported primes are {SUPPORTED_PRIMES}, got {p}")
@@ -512,14 +527,16 @@ def exhaustive_verdict(p: int) -> VerdictReport:
     best: Optional[int] = None
     best_choice: Optional[DifferentialChoice] = None
     examined = 0
+    lines = [0, 0, 0]
     for (a, v), size in frame_orbits:
         fr = _Frame(p, a, v)
         if is_zero(a) and is_zero(v):
             # page-4 classes of the zero frame are plain vectors of R_4
-            cnt, mn, ch = _frame_minimum(fr, [((w, w), n) for w, n in d4x_orbits])
+            cnt, mn, ch, evaluated = _frame_minimum(fr, [((w, w), n) for w, n in d4x_orbits])
         else:
-            cnt, mn, ch = _frame_minimum(fr)
+            cnt, mn, ch, evaluated = _frame_minimum(fr)
         examined += size * cnt
+        lines = [x + y for x, y in zip(lines, evaluated)]
         if best is None or mn < best:
             best, best_choice = mn, ch
     _gate(best is not None and best_choice is not None, "the sweep covered no frame")
@@ -532,27 +549,47 @@ def exhaustive_verdict(p: int) -> VerdictReport:
             frames=sum(n for _, n in frame_orbits),
             frame_orbits=len(frame_orbits),
             zero_frame_d4x_orbits=len(d4x_orbits),
+            d4x_lines=lines[0],
+            d4xy_lines=lines[1],
+            d6_lines=lines[2],
             orbit_build_s=t1 - t0,
             frame_sweep_s=time.perf_counter() - t1,
         ),
     )
 
 
-def _frames(p: int) -> list[Frame]:
-    """Every (d2 coefficients, d3y) pair in sweep order."""
-    return [(a, v) for a in product(range(p), repeat=3) for v in _compatible_d3y(p, a)]
-
-
 def _frame_orbits(p: int) -> list[tuple[Frame, int]]:
-    """(first frame, orbit size) per orbit of GL_2(F_p) x the rescalings."""
+    """(first frame, orbit size) per orbit of GL_2(F_p) x the rescalings.
+
+    The rescalings scale d2 and d3y independently, so an orbit is a union
+    of products of lines: it is built on one point per line (zero, or
+    leading coordinate 1), which the rescalings fix, so only the
+    generators of GL_2(F_p) act, each followed by normalization.  Each
+    nonzero component multiplies the orbit size by p - 1.  Frames are
+    walked in sweep order: d2 lexicographically, then d3y by its
+    coordinates in the kernel basis of d2, so the first point of the
+    reduced orbit is the orbit's first frame."""
+    gens = [(_substitution(p, g, 2), _substitution(p, g, 3)) for g in _gl2_generators(p)]
 
     def act(g, frame: Frame) -> Frame:
-        return _combine(p, frame[0], g[0], 3), _combine(p, frame[1], g[1], 4)
+        a, v = frame
+        return _normalized(p, _combine(p, a, g[0], 3)), _normalized(p, _combine(p, v, g[1], 4))
 
-    frames = _frames(p)
-    orbits = _orbits(frames, _frame_generators(p), act)
+    points: list[Frame] = []
+    frames = 0
+    for a in [zero_vec(3), *_lines(p, 3)]:
+        # the kernel basis is in reduced echelon form, so a d3y whose first
+        # nonzero kernel coordinate is 1 has first nonzero entry 1 as well
+        kernel = _restrict(p, _std_basis(3), 3, a, 2)
+        frames += p ** len(kernel) * (p - 1 if any(a) else 1)
+        points.append((a, zero_vec(4)))
+        points += [(a, _combine(p, c, kernel, 4)) for c in _lines(p, len(kernel))]
+    orbits = [
+        ((a, v), size * (p - 1) ** (any(a) + any(v)))
+        for (a, v), size in _orbits(points, gens, act)
+    ]
     _gate(
-        sum(n for _, n in orbits) == len(frames),
+        sum(n for _, n in orbits) == frames,
         "frame orbit sizes do not sum to the frame count",
     )
     return orbits
@@ -560,18 +597,42 @@ def _frame_orbits(p: int) -> list[tuple[Frame, int]]:
 
 def _zero_frame_d4x_orbits(p: int) -> list[tuple[Vec, int]]:
     """(first d4 value, orbit size) per orbit of the same group on R_4,
-    which is where d4 of the degree-3 generator lives on the zero frame."""
+    which is where d4 of the degree-3 generator lives on the zero frame.
+    The rescalings reach R_4 as every nonzero scalar, so the orbits are
+    built on zero and one point per line, as in ``_frame_orbits``."""
+    n = base_dim(4)
+    gens = [_substitution(p, g, 4) for g in _gl2_generators(p)]
 
     def act(g, w: Vec) -> Vec:
-        return _combine(p, w, g, len(w))
+        return _normalized(p, _combine(p, w, g, n))
 
-    values = list(span_vectors(_std_basis(4), p, base_dim(4)))
-    orbits = _orbits(values, _d4x_generators(p), act)
+    orbits = [
+        (w, size * (p - 1 if any(w) else 1))
+        for w, size in _orbits([zero_vec(n), *_lines(p, n)], gens, act)
+    ]
     _gate(
-        sum(n for _, n in orbits) == p ** base_dim(4),
+        sum(size for _, size in orbits) == p**n,
         "zero-frame d4 orbit sizes do not sum to p^5",
     )
     return orbits
+
+
+def _lines(p: int, k: int) -> Iterator[Vec]:
+    """One point per line of F_p^k, the one whose leading nonzero coordinate
+    is 1, in lexicographic order.  That point is also the first of its
+    line in lexicographic order."""
+    for lead in range(k - 1, -1, -1):
+        for tail in product(range(p), repeat=k - 1 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
+def _normalized(p: int, x: Vec) -> Vec:
+    """The point of x's line with leading nonzero coordinate 1; zero stays."""
+    lead = next((c for c in x if c), 1)
+    if lead == 1:
+        return x
+    inv = pow(lead, p - 2, p)
+    return tuple(c * inv % p for c in x)
 
 
 def _orbits(
@@ -619,10 +680,6 @@ def _substitution(p: int, g: tuple[tuple[int, int], tuple[int, int]], k: int) ->
     return tuple(images)
 
 
-def _scaling(p: int, c: int, k: int) -> tuple[Vec, ...]:
-    return tuple(tuple(c * x % p for x in e) for e in _std_basis(k))
-
-
 def _gl2_generators(p: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """diag(z, 1) for a primitive root z, an elementary matrix and the swap:
     together they generate GL_2(F_p)."""
@@ -634,48 +691,26 @@ def _primitive_root(p: int) -> int:
     return next(z for z in range(2, p) if len({pow(z, e, p) for e in range(1, p)}) == p - 1)
 
 
-def _frame_generators(p: int) -> list[tuple[tuple[Vec, ...], tuple[Vec, ...]]]:
-    """Generators of GL_2(F_p) x the two rescalings, each as its pair of
-    linear maps on (R_2, R_3), the homes of d2 and d3y."""
-    z = _primitive_root(p)
-    gens = [(_substitution(p, g, 2), _substitution(p, g, 3)) for g in _gl2_generators(p)]
-    return gens + [(_scaling(p, z, 2), _std_basis(3)), (_std_basis(2), _scaling(p, z, 3))]
-
-
-def _d4x_generators(p: int) -> list[tuple[Vec, ...]]:
-    """The same group on R_4, the home of d4 on the zero frame; both
-    rescalings reach d4(x) only through one scalar."""
-    z = _primitive_root(p)
-    return [_substitution(p, g, 4) for g in _gl2_generators(p)] + [_scaling(p, z, 4)]
-
-
-def _compatible_d3y(p: int, a: tuple[int, int, int]) -> Iterable[Vec]:
-    """Every d3y annihilating the d2 boundaries: the kernel of
-    multiplication by the degree-2 class a on R_3."""
-    yield from span_vectors(_restrict(p, _std_basis(3), 3, a, 2), p, 4)
-
-
-def _page_values(p: int, reps: list[Vec], ambient: int) -> list[tuple[Vec, Vec]]:
-    """(coordinates, representative) for every page class, zero first."""
-    if not reps:
-        return [((), zero_vec(ambient))]
-    k = len(reps)
-    unit = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-    return [
-        (coords, _combine(p, coords, reps, ambient))
-        for coords in span_vectors(unit, p, k)
-    ]
-
-
 def _frame_minimum(
     fr: _Frame, d4x_classes: Optional[Sequence[tuple[tuple[Vec, Vec], int]]] = None
-) -> tuple[int, int, DifferentialChoice]:
-    """(choices counted, min survivors at total degree 6, minimizing choice).
+) -> tuple[int, int, DifferentialChoice, tuple[int, int, int]]:
+    """(choices counted, min survivors at total degree 6, minimizing choice,
+    the d4(x), d4(xy) and d6 values evaluated).
 
     ``d4x_classes`` lists ((page coordinates, vector), weight) for the d4
-    values to evaluate, each counted weight times; by default every page
-    class, once.  A caller passing orbit representatives of the frame's
-    stabilizer, weighted by orbit size, gets the same result.
+    values to evaluate, each counted weight times; by default zero once and
+    one class per line, weighted p - 1.  A caller passing orbit
+    representatives of the frame's stabilizer, weighted by orbit size, gets
+    the same result.
+
+    Every quantity below depends on d4(x) = w and d4(xy) = omega only
+    through their lines: ranks of w*R_m joined to a subspace, the page-6
+    boundaries b60(w) (held as a reduced basis, so the d6 classes and their
+    shares are those of c*w), the d6 target vR4 + w*R_3, and the kernels
+    and spans that omega leaves.  So the loops take one point per line,
+    leading coordinate 1, in lexicographic order: that point is the first
+    of its line in the counter order of every class, so the first minimizer
+    is the one a loop over every class finds.
 
     One loop runs over the d4 classes.  Each class w fixes the survivors at
     the spots (6,0) and (3,3), counted by rank alone.  If xy dies on page 3
@@ -709,21 +744,23 @@ def _frame_minimum(
 
     if d4x_classes is None:
         w_reps = fr.page40_reps() if fr.x_alive else []
-        d4x_classes = [(cw, 1) for cw in _page_values(p, w_reps, base_dim(4))]
+        d4x_classes = [((zero_vec(len(w_reps)), zero4), 1)] + [
+            ((c, _combine(p, c, w_reps, base_dim(4))), p - 1) for c in _lines(p, len(w_reps))
+        ]
     # with omega = tau = 0, s15 never reads w: one value per frame
     s15_zero = s15(zero4, zero6, zero4)
     s42_zero = dim_ker_v4 - uR2.dim
+    om_lines: list[tuple[Vec, int]] = []
     if fr.xy_alive4:
         om_reps = fr.page42_reps()
-        om_nonzero = [
-            (coords, dim_ker_v4 - uR2.join([om]).dim + s15(om, zero6, zero4))
-            for coords, om in _page_values(p, om_reps, base_dim(4))
-            if not is_zero(om)
-        ]
-        om_share = min((t[1] for t in om_nonzero), default=None)
-        om_pick = min((t[0] for t in om_nonzero if t[1] == om_share), default=None)
+        for c in _lines(p, len(om_reps)):
+            om = _combine(p, c, om_reps, base_dim(4))
+            om_lines.append((c, dim_ker_v4 - uR2.join([om]).dim + s15(om, zero6, zero4)))
+        om_share = min((t[1] for t in om_lines), default=None)
+        om_pick = min((t[0] for t in om_lines if t[1] == om_share), default=None)
 
     examined = 0
+    d6_lines = 0
     best: Optional[int] = None
     best_parts: Optional[tuple] = None  # (w coords, omega coords or None, tau coords or None)
     for (w_coords, w), weight in d4x_classes:
@@ -732,10 +769,13 @@ def _frame_minimum(
             options = [(1, s42_zero + s15_zero, (w_coords, None, None))]
         else:
             tau_reps = _quotient_reps(_std_basis(6), fr.b60(w))
-            t_share, t_coords = _tau_minimum(fr, w, tau_reps, s15) if tau_reps else (s15_zero, ())
+            t_share, t_coords, evaluated = (
+                _tau_minimum(fr, w, tau_reps, s15) if tau_reps else (s15_zero, (), 0)
+            )
+            d6_lines += evaluated
             om_zero = zero_vec(len(om_reps))
             options = [
-                (len(om_nonzero), om_share, (w_coords, om_pick, None)),
+                ((p - 1) * len(om_lines), om_share, (w_coords, om_pick, None)),
                 (p ** len(tau_reps), s42_zero + t_share, (w_coords, om_zero, t_coords)),
             ]
         for count, share, parts in options:
@@ -753,13 +793,13 @@ def _frame_minimum(
         d4xy=om_coords if fr.xy_alive4 else None,
         d6xy=tau_coords,
     )
-    return examined, best, choice
+    return examined, best, choice, (len(d4x_classes), len(om_lines), d6_lines)
 
 
-def _tau_minimum(fr: _Frame, w: Vec, tau_reps: list[Vec], s15) -> tuple[int, Vec]:
+def _tau_minimum(fr: _Frame, w: Vec, tau_reps: list[Vec], s15) -> tuple[int, Vec, int]:
     """Exact min over the nonzero d6 classes of their share of the degree-6
-    survivors, with page coordinates of a minimizer; ``tau_reps`` is not
-    empty.
+    survivors, page coordinates of a minimizer, and the number of classes
+    evaluated; ``tau_reps`` is not empty.
 
     A nonzero page class kills one class at spot (6,0), so its share is the
     dimension of the degree-(1,5) survivors minus 1.  That is below the
@@ -782,10 +822,12 @@ def _tau_minimum(fr: _Frame, w: Vec, tau_reps: list[Vec], s15) -> tuple[int, Vec
         for lead in range(k)
         for tail in product(range(p), repeat=k - 1 - lead)
     )
+    evaluated = 0
     for coords in lines:
         s = s15(zero4, _combine(p, coords, tau_reps, base_dim(6)), w)
+        evaluated += 1
         if best is None or s < best:
             best, best_coords = s, coords
             if s == 0:
                 break
-    return -1 + best, best_coords
+    return -1 + best, best_coords, evaluated

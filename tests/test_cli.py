@@ -165,6 +165,11 @@ def test_ss_verify_stats(capsys):
         "frame_orbits": 18,
         "zero_frame_d4x_orbits": 10,
     }
+    assert {k: stats[k] for k in ("d4x_lines", "d4xy_lines", "d6_lines")} == {
+        "d4x_lines": 172,
+        "d4xy_lines": 142,
+        "d6_lines": 23,
+    }
     assert stats["choices"] == data["choices"] == 166213
     assert stats["orbit_build_s"] >= 0 and stats["frame_sweep_s"] >= 0
     assert "pages" not in data
@@ -220,7 +225,7 @@ def test_theorem_a_summary(capsys):
             "bad --group (want cd:D or zpxzp:P): kind must be 'cd' or 'zpxzp'",
         ),
         ("fixedpoint obstruct --group cd:3 --lef 1,a", "--lef wants a comma-separated integer list"),
-        ("ss verify --p 2", "supported primes are (3, 5, 7), got 2"),
+        ("ss verify --p 2", "supported primes are (3, 5, 7, 11, 13), got 2"),
     ],
 )
 def test_invalid_input_exits_2_with_one_error_line(argv, line, tmp_path, capsys):

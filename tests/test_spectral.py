@@ -72,6 +72,12 @@ def test_e2_page_values():
 # --- single choices ----------------------------------------------------------
 
 
+def compatible_d3y(p, a):
+    """Every d3y annihilating the d2 boundaries, in the counter order of its
+    coordinates over the kernel basis of multiplication by a on R_3."""
+    return gfp.span_vectors(ss._restrict(p, ss._std_basis(3), 3, a, 2), p, 4)
+
+
 def test_zero_choice_keeps_everything():
     inf = ss.run_choice(3, ss.zero_choice(3))
     assert inf.dims == ss.e2_page(3).dims
@@ -133,7 +139,7 @@ def _random_valid_choice(p, rng):
             frame = ss._Frame(p, a, (0, 0, 0, 0))
         except ValueError:
             continue
-        vs = list(ss._compatible_d3y(p, a))
+        vs = list(compatible_d3y(p, a))
         v = vs[rng.randrange(len(vs))]
         frame = ss._Frame(p, a, v)
         kw = {}
@@ -220,7 +226,7 @@ def test_exhaustive_rejects_unsupported_primes():
     with pytest.raises(ValueError):
         ss.exhaustive_verdict(2)
     with pytest.raises(ValueError):
-        ss.exhaustive_verdict(11)
+        ss.exhaustive_verdict(17)
 
 
 def test_verdict_report_shape():
@@ -236,6 +242,18 @@ def test_exhaustive_verdict_p7():
     assert ss.run_choice(7, rep.minimizing_choice).total_degree(6) == rep.min_deg6_survivors
 
 
+@pytest.mark.parametrize(
+    "p, frames, orbits, choices",
+    [(11, 162371, 34, 58540760741), (13, 373477, 38, 305965503793)],
+)
+def test_exhaustive_verdict_p11_p13(p, frames, orbits, choices):
+    rep = ss.exhaustive_verdict(p)
+    assert (rep.choices_examined, rep.min_deg6_survivors) == (choices, 4)
+    stats = rep.stats
+    assert (stats.frames, stats.frame_orbits, stats.zero_frame_d4x_orbits) == (frames, orbits, 10)
+    assert ss.run_choice(p, rep.minimizing_choice).total_degree(6) == 4
+
+
 # --- symmetry reduction against the unreduced sweep -----------------------------
 
 
@@ -246,7 +264,7 @@ def unreduced_frames(p):
         for a1 in range(p)
         for a2 in range(p)
         for a3 in range(p)
-        for v in ss._compatible_d3y(p, (a1, a2, a3))
+        for v in compatible_d3y(p, (a1, a2, a3))
     ]
 
 
@@ -256,7 +274,7 @@ def unreduced_sweep(p):
     per_frame = {}
     examined, best, best_choice = 0, None, None
     for a, v in unreduced_frames(p):
-        cnt, mn, ch = ss._frame_minimum(ss._Frame(p, a, v))
+        cnt, mn, ch, _ = ss._frame_minimum(ss._Frame(p, a, v))
         per_frame[(a, v)] = (cnt, mn)
         examined += cnt
         if best is None or mn < best:
@@ -444,7 +462,6 @@ def test_gl2_generators_generate_gl2(p, order):
 def test_orbits_match_full_group_and_keep_frame_count_and_min_p3(unreduced_p3):
     p = 3
     frames = unreduced_frames(p)
-    assert ss._frames(p) == frames
 
     def image_of(el, frame):
         g, lam, mu = el
@@ -477,7 +494,7 @@ def test_zero_frame_d4x_orbits_match_full_group_p3():
     assert len(orbits) == 10
     zero = ss._Frame(p, (0, 0, 0), (0, 0, 0, 0))
     reduced = ss._frame_minimum(zero, [((w, w), n) for w, n in orbits])
-    assert reduced == ss._frame_minimum(zero)
+    assert reduced[:3] == ss._frame_minimum(zero)[:3]
 
 
 def test_reduced_verdict_matches_unreduced_p3(unreduced_p3):
@@ -518,7 +535,7 @@ def tau_minimum_calls(p, monkeypatch):
 @pytest.mark.parametrize("p", [3, 5])
 def test_tau_minimum_matches_every_nonzero_class(p, monkeypatch):
     zero4, zero6 = (0,) * ss.base_dim(4), (0,) * ss.base_dim(6)
-    for fr, w, tau_reps, s15, (value, coords) in tau_minimum_calls(p, monkeypatch):
+    for fr, w, tau_reps, s15, (value, coords, _) in tau_minimum_calls(p, monkeypatch):
         assert tau_reps
         # the d6 = 0 baseline is one value per frame, whatever d4x is
         baseline = s15(zero4, zero6, w)
@@ -633,7 +650,7 @@ def test_frame_minimum_matches_page_engine(p):
         else:
             cases = [([None], None)]
         for d4x_values, d4x_classes in cases:
-            cnt, mn, choice = ss._frame_minimum(fr, d4x_classes)
+            cnt, mn, choice, _ = ss._frame_minimum(fr, d4x_classes)
             assert page_engine_minimum(p, fr, d4x_values) == (cnt, mn), (a, v, d4x_values)
             assert ss.run_choice(p, choice).total_degree(6) == mn
             checked += cnt
