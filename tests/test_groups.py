@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations
 from math import prod
 
@@ -167,6 +169,38 @@ def test_class_d_divides_n():
         assert p.n % gr.burnside_class_d(p) == 0
 
 
+def metacyclic_by_entries(m, n, r):
+    """Table of (i, j)(i', j') = (i + r^j i', j + j'), one entry at a time,
+    with (i, j) at index i*n + j."""
+    N = m * n
+    T = np.zeros((N, N), dtype=np.int64)
+    for a in range(N):
+        i, j = divmod(a, n)
+        for b in range(N):
+            i2, j2 = divmod(b, n)
+            T[a, b] = ((i + pow(r, j, m) * i2) % m) * n + (j + j2) % n
+    return T
+
+
+def test_metacyclic_table_matches_entry_by_entry_oracle():
+    triples = [(p.m, p.n, p.r) for p in gr.enumerate_burnside_params(60)]
+    triples += [(61, 5, 20), (95, 4, 94), gr._S3, gr._Z9_SEMI_Z3]
+    for t in triples:
+        assert np.array_equal(gr._metacyclic_table(*t), metacyclic_by_entries(*t)), t
+
+
+def test_enumerate_burnside_params_matches_brute_force():
+    want = [
+        gr.BurnsideParams(m, n, r)
+        for m in range(1, 201)
+        for n in range(1, 200 // m + 1)
+        for r in range(1, m + 1)
+        if not gr.BurnsideParams(m, n, r).failing_conditions()
+    ]
+    assert len(want) == 688
+    assert gr.enumerate_burnside_params(200) == want
+
+
 # --- Sylow machinery ----------------------------------------------------
 
 
@@ -178,6 +212,29 @@ def test_sylow_examples():
     a, _ = gr.burnside_generators(gr.BurnsideParams(7, 3, 2))
     assert S7.contains(a)
     assert gr.sylow(gr.cyclic(15), 7).order == 1
+
+
+# sha256 of json.dumps([[G.name, p, list(sylow(G, p).elements)], ...]) over
+# oracle_groups() and each prime divisor in increasing order
+SYLOW_DIGEST = "58d640af11039104c20a542e924a47d1bb2834c56da7c4bd51de666de6f16bbd"
+
+
+def test_sylow_elements_pinned():
+    got = [
+        [G.name, p, list(gr.sylow(G, p).elements)]
+        for G in oracle_groups()
+        for p in gr.prime_divisors(G.order)
+    ]
+    assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == SYLOW_DIGEST
+    # a few readable entries, where the Sylow subgroup is not normal
+    pinned = {
+        ((3, 2, 2), 2): (0, 1),
+        ((7, 3, 2), 3): (0, 1, 2),
+        ((5, 4, 2), 2): (0, 1, 2, 3),
+        ((9, 2, 8), 2): (0, 1),
+    }
+    for (t, p), want in pinned.items():
+        assert gr.sylow(gr.build_burnside(gr.BurnsideParams(*t)), p).elements == want
 
 
 def test_all_sylow_cyclic():
@@ -367,6 +424,36 @@ def test_normal_rank_nonabelian_matches_subgroup_scan():
                             rank += 1
                         best = max(best, rank)
         assert gr.normal_rank(G, 3) == best
+
+
+def normal_by_every_element(G, elems):
+    """g h g^-1 in H for every g in G and h in H."""
+    arr = np.array(elems)
+    conj = G.table[G.table[:, arr], G.inverse[:, None]]
+    return bool(np.isin(conj, arr).all())
+
+
+def test_is_normal_set_matches_conjugation_by_every_element():
+    non_normal = 0
+    for G in oracle_groups():
+        # one generator per cyclic subgroup; closing each pair of them gives
+        # the closure of every pair of elements
+        spans = {}
+        for g in range(G.order):
+            spans.setdefault(tuple(sorted(G.cyclic_span(g))), g)
+        subgroups = set(spans)
+        reps = list(spans.values())
+        for i, a in enumerate(reps):
+            for b in reps[i + 1:]:
+                subgroups.add(gr._closure_indices(G.table, (a, b)))
+        for H in subgroups:
+            want = normal_by_every_element(G, H)
+            assert gr._is_normal_set(G, H) == want, (G.name, H)
+            non_normal += not want
+    assert non_normal > 0
+    S3 = gr.symmetric3()
+    assert not gr._is_normal_set(S3, (0, 1))
+    assert gr._is_normal_set(S3, (0, 2, 4))
 
 
 def test_normal_p_complement():
