@@ -83,27 +83,6 @@ class Subspace:
         return Subspace(self.p, self.n, list(self.basis) + [tuple(v) for v in vectors])
 
 
-def span_vectors(basis: Sequence[Sequence[int]], p: int, n: int) -> Iterable[Vec]:
-    if not basis:
-        yield zero_vec(n)
-        return
-    k = len(basis)
-    coeffs = [0] * k
-    total = p**k
-    for _ in range(total):
-        acc = [0] * n
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i, x in enumerate(b):
-                    acc[i] = (acc[i] + c * x) % p
-        yield tuple(acc)
-        for i in range(k - 1, -1, -1):
-            coeffs[i] += 1
-            if coeffs[i] < p:
-                break
-            coeffs[i] = 0
-
-
 def rank(rows: Iterable[Sequence[int]], p: int) -> int:
     return len(rref(rows, p))
 

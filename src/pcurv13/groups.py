@@ -3,8 +3,15 @@
 Groups are dense n x n Cayley tables over element indices 0..n-1 with the
 identity at index 0.  Every constructor validates the Latin-square property
 and associativity (Light's test over a computed generating set), so a
-GroupTable is a group, not just a magma.  All structural queries are
-exhaustive searches; the hard cap keeps them exact and fast.
+GroupTable is a group, not just a magma.  The table keeps that generating
+set: normality is tested by conjugating with the generators only, and the
+isomorphism search maps them.  All structural queries are exhaustive
+searches; the hard cap keeps them exact and fast.
+
+A Burnside group is built once per live triple: build_burnside returns the
+table that is still referenced for the same parameters and name, so
+normal_cyclic_core shares its caller's group.  Metacyclic tables are built
+in one broadcast over (i, j, i', j').
 
 The table itself is a read-only numpy array; queries that walk subgroups
 use plain Python sets over indices.  A subgroup closure grows a frontier by
@@ -20,6 +27,8 @@ are non-commuting pairs in one Sylow 3-subgroup that close to 27 elements.
 from __future__ import annotations
 
 import re
+import warnings
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -65,7 +74,9 @@ def _element_orders(table: np.ndarray) -> np.ndarray:
 class GroupTable:
     """Immutable finite group on indices 0..n-1 with identity 0."""
 
-    __slots__ = ("order", "table", "element_order", "inverse", "name", "_abelian")
+    __slots__ = (
+        "order", "table", "element_order", "inverse", "name", "_abelian", "_generators", "__weakref__",
+    )
 
     def __init__(self, table, name: str = "G", validate: bool = True):
         arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
@@ -74,8 +85,7 @@ class GroupTable:
             raise GroupError("multiplication table must be square")
         if n < 1 or n > ORDER_CAP:
             raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
-        if validate:
-            _validate_table(arr)
+        gens = _validate_table(arr) if validate else None
         arr.setflags(write=False)
         self.order = n
         self.table = arr
@@ -85,6 +95,15 @@ class GroupTable:
         self.inverse.setflags(write=False)
         self.name = name
         self._abelian: Optional[bool] = None
+        self._generators: Optional[tuple[int, ...]] = gens
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set: the one validation ran Light's test over, or,
+        for a table built without validation, one computed on first use."""
+        if self._generators is None:
+            self._generators = _generating_set(self.table)
+        return self._generators
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -129,7 +148,10 @@ class GroupTable:
         return hash((self.order, self.table.tobytes()))
 
 
-def _validate_table(arr: np.ndarray) -> None:
+def _validate_table(arr: np.ndarray) -> tuple[int, ...]:
+    """Raise GroupError unless arr is a group table; return the generating
+    set Light's test ran over.  The generating set is computed only after
+    the Latin-square checks, which its closures rely on to terminate."""
     n = arr.shape[0]
     idx = np.arange(n)
     if arr.min() < 0 or arr.max() >= n:
@@ -141,9 +163,11 @@ def _validate_table(arr: np.ndarray) -> None:
     if not (np.sort(arr, axis=0) == idx[:, None]).all():
         raise GroupError("some column is not a permutation")
     # Light's associativity test over a generating set
-    for a in _generating_set(arr):
+    gens = _generating_set(arr)
+    for a in gens:
         if not np.array_equal(arr[arr[:, a], :], arr[:, arr[a, :]]):
             raise GroupError(f"associativity fails through element {a}")
+    return gens
 
 
 def _closure_indices(table: np.ndarray, seed: Iterable[int], cap: int | None = None) -> Optional[tuple[int, ...]]:
@@ -170,7 +194,7 @@ def _closure_indices(table: np.ndarray, seed: Iterable[int], cap: int | None = N
     return tuple(sorted(elems))
 
 
-def _generating_set(table: np.ndarray) -> list[int]:
+def _generating_set(table: np.ndarray) -> tuple[int, ...]:
     n = table.shape[0]
     gens: list[int] = []
     have = {0}
@@ -180,7 +204,7 @@ def _generating_set(table: np.ndarray) -> list[int]:
             x += 1
         gens.append(x)
         have = set(_closure_indices(table, gens))
-    return gens
+    return tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -313,12 +337,13 @@ def _metacyclic_table(m: int, n: int, r: int) -> np.ndarray:
         raise GroupError(f"r^n = {pow(r, n, m)} != 1 mod {m}")
     if gcd(r % m if m > 1 else 1, m) != 1:
         raise GroupError("r must be invertible mod m")
-    idx = np.arange(m * n)
-    I, J = idx // n, idx % n
-    R = np.array([pow(r, int(j), m) for j in range(n)]) if m > 1 else np.ones(n, dtype=np.int64)
-    TI = (I[:, None] + R[J][:, None] * I[None, :]) % m
-    TJ = (J[:, None] + J[None, :]) % n
-    return TI * n + TJ
+    # (i, j) has index i*n + j: the entry at row (i, j), column (i', j') is
+    # the first coordinate (on m*n*m cells) times n plus the second
+    I, J = np.arange(m), np.arange(n)
+    R = np.array([pow(r, j, m) for j in range(n)], dtype=np.int64)
+    first = (I[:, None, None] + R[None, :, None] * I[None, None, :]) % m * n
+    second = (J[:, None] + J[None, :]) % n
+    return (first[:, :, :, None] + second[None, :, None, :]).reshape(m * n, m * n)
 
 
 def unitriangular27(name: str = "U33") -> GroupTable:
@@ -381,18 +406,35 @@ class BurnsideParams:
 
     @property
     def is_valid(self) -> bool:
-        return not self.failing_conditions()
+        return _burnside_valid(self.m, self.n, self.r)
+
+
+def _burnside_valid(m: int, n: int, r: int) -> bool:
+    """The conditions failing_conditions spells out, without the messages."""
+    if m < 1 or n < 1 or r < 1:
+        return False
+    return pow(r, n, m) == 1 % m and (n == 1 or gcd((r - 1) * n, m) == 1)
+
+
+# the tables build_burnside returned that are still referenced, by (params, name)
+_BURNSIDE_TABLES: "weakref.WeakValueDictionary[tuple, GroupTable]" = weakref.WeakValueDictionary()
 
 
 def build_burnside(params: BurnsideParams, name: str | None = None) -> GroupTable:
     """Multiplication table of the metacyclic group for valid parameters.
 
     Realized on pairs (i mod m, j mod n); A = (1,0) and B = (0,1) satisfy
-    the defining relations.
+    the defining relations.  While a table built for the same parameters and
+    name is referenced anywhere, that table is returned instead of a new one.
     """
-    return GroupTable(
-        _burnside_table(params), name=name or f"B({params.m},{params.n},{params.r})"
-    )
+    key = (params, name)
+    G = _BURNSIDE_TABLES.get(key)
+    if G is None:
+        G = GroupTable(
+            _burnside_table(params), name=name or f"B({params.m},{params.n},{params.r})"
+        )
+        _BURNSIDE_TABLES[key] = G
+    return G
 
 
 def _burnside_table(params: BurnsideParams) -> np.ndarray:
@@ -430,6 +472,8 @@ def normal_cyclic_core(params: BurnsideParams) -> SubgroupHandle:
 
     It is normal, cyclic of index d, and contained in no larger cyclic
     subgroup; the properties are re-verified per instance in the tests.
+    Its parent is the table build_burnside(params) returns, the caller's own
+    while the caller holds it.
     """
     G = build_burnside(params)
     d = burnside_class_d(params)
@@ -442,14 +486,13 @@ def normal_cyclic_core(params: BurnsideParams) -> SubgroupHandle:
 
 def enumerate_burnside_params(max_order: int) -> list[BurnsideParams]:
     """All valid parameter triples with m*n <= max_order, ordered."""
-    out = []
-    for m in range(1, max_order + 1):
-        for n in range(1, max_order // m + 1):
-            for r in range(1, m + 1):
-                p = BurnsideParams(m, n, r)
-                if p.is_valid:
-                    out.append(p)
-    return out
+    return [
+        BurnsideParams(m, n, r)
+        for m in range(1, max_order + 1)
+        for n in range(1, max_order // m + 1)
+        for r in range(1, m + 1)
+        if _burnside_valid(m, n, r)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +509,9 @@ def sylow(G: GroupTable, p: int) -> SubgroupHandle:
         target *= p
     if target == 1:
         return trivial_subgroup(G)
-    p_elems = [
-        g
-        for g in range(1, G.order)
-        if _is_p_power(int(G.element_order[g]), p)
-    ]
+    # an element order divides |G|, so it divides the p-part exactly when
+    # it is a power of p
+    p_elems = np.flatnonzero(target % G.element_order == 0)[1:].tolist()
     gens: list[int] = []
     current: set[int] = {0}
     while len(current) < target:
@@ -645,11 +686,14 @@ def normal_rank(G: GroupTable, p: int) -> int:
 
 
 def _is_normal_set(G: GroupTable, elems: Iterable[int]) -> bool:
+    """Whether g S g^-1 is inside S for every generator g, which is enough:
+    S is finite, so each such g maps S onto S, and the elements that do form
+    a subgroup containing every generator."""
     arr = np.fromiter(elems, dtype=np.int64)
     mask = np.zeros(G.order, dtype=bool)
     mask[arr] = True
-    gh = G.table[:, arr]
-    conj = G.table[gh, G.inverse[:, None]]
+    gens = np.array(G.generators, dtype=np.int64)
+    conj = G.table[G.table[gens[:, None], arr[None, :]], G.inverse[gens][:, None]]
     return bool(mask[conj].all())
 
 
@@ -725,8 +769,7 @@ def is_isomorphic(G: GroupTable, H: GroupTable) -> bool:
         return True
     if len(G.center()) != len(H.center()):
         return False
-    gens = _generating_set(G.table)
-    return _find_iso(G, H, gens, [])
+    return _find_iso(G, H, G.generators, [])
 
 
 def _find_iso(G, H, gens, images) -> bool:
@@ -825,14 +868,27 @@ def read_group_file(path) -> GroupTable:
         n = int(header.split()[1])
         if not 1 <= n <= ORDER_CAP:
             raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
-        # one row of strings at a time: n^2 of them at once cost ~15 MB at n = 512
-        rows = [np.array(cells, dtype=np.int64) for cells in (ln.split() for ln in fh) if cells]
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below as a row count of 0
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            # ragged rows, an entry that is no int64: name a row of the wrong
+            # length if there is one, else pass on numpy's message
+            fh.seek(0)
+            _check_table_shape([ln.split() for ln in fh if ln.strip()][1:], n)
+            raise
+    _check_table_shape(table, n)
+    return GroupTable(table, name="file")
+
+
+def _check_table_shape(rows, n: int) -> None:
     if len(rows) != n:
         raise GroupError(f"expected {n} table rows, found {len(rows)}")
     for i, row in enumerate(rows, 1):
         if len(row) != n:
             raise GroupError(f"table row {i} has {len(row)} entries, expected {n}")
-    return GroupTable(np.stack(rows), name="file")
 
 
 def is_maximal_cyclic(H: SubgroupHandle) -> bool:

@@ -92,6 +92,7 @@ def test_criterion_3_burnside_suite():
         assert gr.all_sylow_cyclic(G)
         d = gr.burnside_class_d(p)
         core = gr.normal_cyclic_core(p)
+        assert core.parent is G
         assert core.is_normal and core.is_cyclic
         assert core.index == d
         assert gr.is_maximal_cyclic(core)

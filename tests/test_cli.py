@@ -107,6 +107,23 @@ def test_group_analyze_rejects_ragged_row(tmp_path, capsys):
     assert "table row 2 has 2 entries, expected 3" in err
 
 
+@pytest.mark.parametrize(
+    "entry, line",
+    [
+        ("99999999999999999999999", "could not convert string '99999999999999999999999' to int64"),
+        ("0.5", "could not convert string '0.5' to int64"),
+    ],
+)
+def test_group_analyze_rejects_entry_that_is_no_int64(entry, line, tmp_path, capsys):
+    path = tmp_path / "bad.grp"
+    path.write_text(f"order 2\n0 1\n1 {entry}\n")
+    code, out, err = run_cli(capsys, "group", "analyze", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read group table: {line}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_fixedpoint_profiles(capsys):
     code, out, _ = run_cli(capsys, "fixedpoint", "profiles", "--budget", "6", "--dim", "5", "--json")
     data = json.loads(out)

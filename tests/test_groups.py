@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from itertools import combinations
 from math import prod
 
@@ -162,6 +164,30 @@ def test_normal_cyclic_core_examples():
 
     core11 = gr.normal_cyclic_core(gr.BurnsideParams(11, 5, 3))
     assert core11.order == 11 and core11.index == 5 and core11.is_normal
+
+
+def test_build_burnside_returns_the_live_table():
+    params = gr.BurnsideParams(7, 3, 2)
+    G = gr.build_burnside(params)
+    assert gr.build_burnside(gr.BurnsideParams(7, 3, 2)) is G
+    assert gr.normal_cyclic_core(params).parent is G
+    named = gr.build_burnside(params, name="F21")
+    assert named is not G and named.name == "F21" and np.array_equal(named.table, G.table)
+    assert gr.build_burnside(params, name="F21") is named
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
+    assert gr.build_burnside(params).name == "B(7,3,2)"
+
+
+def test_generators_kept_from_validation_generate_the_group():
+    for G in oracle_groups():
+        assert G.generators == gr._generating_set(G.table)
+        assert gr._closure_indices(G.table, G.generators) == tuple(range(G.order))
+    lazy = gr.GroupTable(gr.symmetric3().table, validate=False)
+    assert lazy._generators is None
+    assert lazy.generators == gr.symmetric3().generators
 
 
 def test_class_d_divides_n():
