@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -214,6 +215,28 @@ def test_theorem_a_summary(capsys):
     code, out, _ = run_cli(capsys, "theorem-a", "--rank", "2", "--cohomology", "mod3")
     assert code == 0
     assert "1, 2, 3, 6, 9" in out
+
+
+# sha256 of the whole `theorem-a --json` output: replay checks each step on
+# its own, this catches any change to the trace as a whole
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "--rank 2 --cohomology rational",
+            "a0e3d984c78a1ffbe9b1941292fa22cd696d1c722fbdca535de8d6c46a21e1d5",
+        ),
+        (
+            "--rank 2 --cohomology mod3",
+            "319bd3b1157f79fe4586f4333806a0a17956494e3c1e4a14ceba2762ba5f1f40",
+        ),
+        ("--rank 3", "c5c509f1e94e6e91ee662831e250539816ee30b1087af443fcbedb7f8c11c18f"),
+    ],
+)
+def test_theorem_a_json_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(capsys, "theorem-a", *argv.split(), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

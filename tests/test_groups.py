@@ -565,16 +565,22 @@ def test_z9_semi_z3_structure():
 def product_by_digits(factors):
     """Direct product table entry by entry in mixed radix: the element
     (g1, ..., gk) has index ravel_multi_index((g1, ..., gk), orders)."""
-    orders = tuple(F.order for F in factors)
+    orders = tuple(len(T) for T in factors)
     digits = np.unravel_index(np.arange(prod(orders)), orders)
     return np.ravel_multi_index(
-        tuple(F.table[np.ix_(d, d)] for F, d in zip(factors, digits)), orders
+        tuple(T[np.ix_(d, d)] for T, d in zip(factors, digits)), orders
     )
 
 
 def catalog_factor(term):
-    named = {"U33": gr.unitriangular27, "Z9semiZ3": gr.z9_semi_z3}
-    return named[term]() if term in named else gr.cyclic(int(term[1:]))
+    """Raw table of a catalog term from the entry-by-entry builders above,
+    which share no code with build_standard."""
+    if term == "U33":
+        return u33_matrix_table()
+    if term == "Z9semiZ3":
+        return metacyclic_by_entries(9, 3, 4)
+    k = int(term[1:])
+    return np.array([[(i + j) % k for j in range(k)] for i in range(k)])
 
 
 @pytest.mark.parametrize("name", [*pipeline._THREE_GROUP_CATALOG, "Z16xU33"])
