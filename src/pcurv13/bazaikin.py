@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -65,8 +65,6 @@ class QTuple:
 
     @staticmethod
     def of(*entries: int) -> "QTuple":
-        if len(entries) == 1 and not isinstance(entries[0], int):
-            entries = tuple(entries[0])
         return QTuple(_canonical_entries(tuple(int(e) for e in entries)))
 
     def __iter__(self):
@@ -165,14 +163,11 @@ class CohomologyProfile:
     """
 
     torsion_order: Fraction  # |m|, nonnegative
-    m: Fraction = field(repr=False, default=None)  # signed m, informational
 
     FREE_DEGREES = (0, 2, 4, 9, 11, 13)
     TOP = 13
 
     def __post_init__(self):
-        if self.m is None:
-            object.__setattr__(self, "m", self.torsion_order)
         if self.torsion_order < 0:
             raise ValueError("torsion order is a magnitude")
 
@@ -207,7 +202,7 @@ def integral_cohomology(q: QTuple | tuple[int, ...]) -> CohomologyProfile:
     if not report.verdict:
         raise ValueError(f"tuple {tuple(q)} is not free: {_free_failure(report)}")
     m = h6_order(q).value
-    return CohomologyProfile(torsion_order=abs(m), m=m)
+    return CohomologyProfile(torsion_order=abs(m))
 
 
 def _free_failure(report: FreenessReport) -> str:

@@ -108,12 +108,11 @@ def cmd_group_build(args) -> int:
     else:
         raise ValueError("one of --burnside m n r or --name NAME is required")
     if args.out:
-        groups.write_group_file(G, args.out)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            groups.write_group_file(G, fh)
         print(f"wrote order-{G.order} table to {args.out}")
     else:
-        sys.stdout.write(f"order {G.order}\n")
-        for row in G.table:
-            sys.stdout.write(" ".join(str(int(x)) for x in row) + "\n")
+        groups.write_group_file(G, sys.stdout)
     return 0
 
 

@@ -1,17 +1,17 @@
 """Small finite groups as explicit multiplication tables.
 
 Groups are dense n x n Cayley tables over element indices 0..n-1 with the
-identity at index 0.  Every constructor validates the Latin-square property
-and associativity (Light's test over a computed generating set), so a
-GroupTable is a group, not just a magma.  The table keeps that generating
-set: normality is tested by conjugating with the generators only, and the
-isomorphism search maps them.  All structural queries are exhaustive
-searches; the hard cap keeps them exact and fast.
+identity at index 0.  GroupTable validates the Latin-square property and
+associativity (Light's test over a computed generating set) on every
+table, so a GroupTable is a group, not just a magma.  The table keeps that
+generating set: normality is tested by conjugating with the generators
+only, and the isomorphism search maps them.  All structural queries are
+exhaustive searches; the hard cap keeps them exact and fast.
 
-A Burnside group is built once per live triple: build_burnside returns the
-table that is still referenced for the same parameters and name, so
-normal_cyclic_core shares its caller's group.  Metacyclic tables are built
-in one broadcast over (i, j, i', j').
+Named groups come from build_standard alone, Burnside groups from
+build_burnside, which returns the table still referenced for the same
+triple, so normal_cyclic_core shares its caller's group.  Metacyclic
+tables are built in one broadcast over (i, j, i', j').
 
 The table itself is a read-only numpy array; queries that walk subgroups
 use plain Python sets over indices.  A subgroup closure grows a frontier by
@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
-from typing import Iterable, Optional
+from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
@@ -75,17 +75,18 @@ class GroupTable:
     """Immutable finite group on indices 0..n-1 with identity 0."""
 
     __slots__ = (
-        "order", "table", "element_order", "inverse", "name", "_abelian", "_generators", "__weakref__",
+        "order", "table", "element_order", "inverse", "name", "generators", "_abelian", "__weakref__",
     )
 
-    def __init__(self, table, name: str = "G", validate: bool = True):
+    def __init__(self, table, name: str = "G"):
         arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
         n = arr.shape[0]
         if arr.shape != (n, n):
             raise GroupError("multiplication table must be square")
         if n < 1 or n > ORDER_CAP:
             raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
-        gens = _validate_table(arr) if validate else None
+        # the generating set Light's test ran over
+        self.generators: tuple[int, ...] = _validate_table(arr)
         arr.setflags(write=False)
         self.order = n
         self.table = arr
@@ -95,15 +96,6 @@ class GroupTable:
         self.inverse.setflags(write=False)
         self.name = name
         self._abelian: Optional[bool] = None
-        self._generators: Optional[tuple[int, ...]] = gens
-
-    @property
-    def generators(self) -> tuple[int, ...]:
-        """A generating set: the one validation ran Light's test over, or,
-        for a table built without validation, one computed on first use."""
-        if self._generators is None:
-            self._generators = _generating_set(self.table)
-        return self._generators
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -252,35 +244,22 @@ class SubgroupHandle:
     def is_normal(self) -> bool:
         return _is_normal_set(self.parent, self.elements)
 
-    def as_group(self, name: str | None = None) -> GroupTable:
+    def as_group(self) -> GroupTable:
         arr = np.array(self.elements)
         sub = self.parent.table[np.ix_(arr, arr)]
         reindex = np.searchsorted(arr, sub)
-        return GroupTable(
-            reindex, name=name or f"{self.parent.name}|sub{self.order}"
-        )
+        return GroupTable(reindex, name=f"{self.parent.name}|sub{self.order}")
 
     def contains(self, g: int) -> bool:
         return g in set(self.elements)
 
 
-def closure(G: GroupTable, seed: Iterable[int], cap: int | None = None) -> Optional[SubgroupHandle]:
-    elems = _closure_indices(G.table, seed, cap)
-    if elems is None:
-        return None
-    return SubgroupHandle._closed(G, elems)
-
-
-def trivial_subgroup(G: GroupTable) -> SubgroupHandle:
-    return SubgroupHandle(G, (0,))
+def closure(G: GroupTable, seed: Iterable[int]) -> SubgroupHandle:
+    return SubgroupHandle._closed(G, _closure_indices(G.table, seed))
 
 
 # ---------------------------------------------------------------------------
 # constructions
-
-
-def cyclic(n: int, name: str | None = None) -> GroupTable:
-    return GroupTable(_cyclic_table(n), name=name or f"Z{n}")
 
 
 def _cyclic_table(n: int) -> np.ndarray:
@@ -288,10 +267,6 @@ def _cyclic_table(n: int) -> np.ndarray:
         raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
     idx = np.arange(n)
     return (idx[:, None] + idx[None, :]) % n
-
-
-def direct_product(G: GroupTable, H: GroupTable, name: str | None = None) -> GroupTable:
-    return GroupTable(_product_table([G.table, H.table]), name=name or f"{G.name}x{H.name}")
 
 
 def _product_table(tables: Iterable[np.ndarray]) -> np.ndarray:
@@ -312,23 +287,13 @@ def _product_table(tables: Iterable[np.ndarray]) -> np.ndarray:
     return T
 
 
-def abelian(orders: Iterable[int], name: str | None = None) -> GroupTable:
-    orders = list(orders) or [1]
-    table = _product_table(_cyclic_table(k) for k in orders)
-    return GroupTable(table, name=name or "x".join(f"Z{k}" for k in orders))
-
-
-def metacyclic(m: int, n: int, r: int, name: str | None = None) -> GroupTable:
-    """Group on pairs (i mod m, j mod n) with (i,j)(i',j') = (i + r^j i', j+j').
+def _metacyclic_table(m: int, n: int, r: int) -> np.ndarray:
+    """Raw table on pairs (i mod m, j mod n) with (i,j)(i',j') = (i + r^j i', j+j').
 
     Requires r^n = 1 (mod m) so the construction is a group (the twisting
     automorphism has order dividing n).  No coprimality is imposed here;
     see build_burnside for the classified family.
     """
-    return GroupTable(_metacyclic_table(m, n, r), name=name or f"M({m},{n},{r})")
-
-
-def _metacyclic_table(m: int, n: int, r: int) -> np.ndarray:
     if m < 1 or n < 1:
         raise GroupError("m and n must be positive")
     if m * n > ORDER_CAP:
@@ -346,13 +311,9 @@ def _metacyclic_table(m: int, n: int, r: int) -> np.ndarray:
     return (first[:, :, :, None] + second[None, :, None, :]).reshape(m * n, m * n)
 
 
-def unitriangular27(name: str = "U33") -> GroupTable:
+def _unitriangular27_table() -> np.ndarray:
     """Upper unitriangular 3x3 matrices over the field with three elements,
     on triples (x, y, z) with (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y')."""
-    return GroupTable(_unitriangular27_table(), name=name)
-
-
-def _unitriangular27_table() -> np.ndarray:
     n = 27
     T = np.zeros((n, n), dtype=np.int64)
     for a in range(n):
@@ -363,18 +324,10 @@ def _unitriangular27_table() -> np.ndarray:
     return T
 
 
-# metacyclic (m, n, r) of the next two groups, shared with build_standard
+# metacyclic (m, n, r) of the catalog's Z9semiZ3 (nonabelian of order 27
+# with an order-9 element: b a b^{-1} = a^4) and S3
 _Z9_SEMI_Z3 = (9, 3, 4)
 _S3 = (3, 2, 2)
-
-
-def z9_semi_z3(name: str = "Z9sZ3") -> GroupTable:
-    """Nonabelian order 27 with an order-9 element: b a b^{-1} = a^4."""
-    return metacyclic(*_Z9_SEMI_Z3, name=name)
-
-
-def symmetric3(name: str = "S3") -> GroupTable:
-    return metacyclic(*_S3, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +369,22 @@ def _burnside_valid(m: int, n: int, r: int) -> bool:
     return pow(r, n, m) == 1 % m and (n == 1 or gcd((r - 1) * n, m) == 1)
 
 
-# the tables build_burnside returned that are still referenced, by (params, name)
-_BURNSIDE_TABLES: "weakref.WeakValueDictionary[tuple, GroupTable]" = weakref.WeakValueDictionary()
+# the tables build_burnside returned that are still referenced, by params
+_BURNSIDE_TABLES: "weakref.WeakValueDictionary[BurnsideParams, GroupTable]" = weakref.WeakValueDictionary()
 
 
-def build_burnside(params: BurnsideParams, name: str | None = None) -> GroupTable:
+def build_burnside(params: BurnsideParams) -> GroupTable:
     """Multiplication table of the metacyclic group for valid parameters.
 
     Realized on pairs (i mod m, j mod n); A = (1,0) and B = (0,1) satisfy
-    the defining relations.  While a table built for the same parameters and
-    name is referenced anywhere, that table is returned instead of a new one.
+    the defining relations.  While a table built for the same parameters is
+    referenced anywhere, that table is returned instead of a new one.
     """
-    key = (params, name)
-    G = _BURNSIDE_TABLES.get(key)
+    G = _BURNSIDE_TABLES.get(params)
     if G is None:
-        G = GroupTable(
-            _burnside_table(params), name=name or f"B({params.m},{params.n},{params.r})"
+        G = _BURNSIDE_TABLES[params] = GroupTable(
+            _burnside_table(params), name=f"B({params.m},{params.n},{params.r})"
         )
-        _BURNSIDE_TABLES[key] = G
     return G
 
 
@@ -508,7 +459,7 @@ def sylow(G: GroupTable, p: int) -> SubgroupHandle:
     while G.order % (target * p) == 0:
         target *= p
     if target == 1:
-        return trivial_subgroup(G)
+        return SubgroupHandle._closed(G, (0,))
     # an element order divides |G|, so it divides the p-part exactly when
     # it is a power of p
     p_elems = np.flatnonzero(target % G.element_order == 0)[1:].tolist()
@@ -851,11 +802,11 @@ def _term_table(term: str) -> np.ndarray:
     return _unitriangular27_table()
 
 
-def write_group_file(G: GroupTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"order {G.order}\n")
-        for row in G.table:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+def write_group_file(G: GroupTable, out: TextIO) -> None:
+    """Write G to an open text stream in the format read_group_file reads."""
+    out.write(f"order {G.order}\n")
+    for row in G.table:
+        out.write(" ".join(str(int(x)) for x in row) + "\n")
 
 
 def read_group_file(path) -> GroupTable:
@@ -874,8 +825,8 @@ def read_group_file(path) -> GroupTable:
                 warnings.simplefilter("ignore", UserWarning)
                 table = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
         except ValueError:
-            # ragged rows, an entry that is no int64: name a row of the wrong
-            # length if there is one, else pass on numpy's message
+            # ragged rows, an entry that is no int64: name the first bad row
+            # or entry, else pass on numpy's message
             fh.seek(0)
             _check_table_shape([ln.split() for ln in fh if ln.strip()][1:], n)
             raise
@@ -884,11 +835,18 @@ def read_group_file(path) -> GroupTable:
 
 
 def _check_table_shape(rows, n: int) -> None:
+    """Raise GroupError at the first row of the wrong length or, in rows of
+    text re-read after numpy failed, at the first entry that is no int64;
+    rows and entries count from 1, and a row's length is checked first."""
     if len(rows) != n:
         raise GroupError(f"expected {n} table rows, found {len(rows)}")
     for i, row in enumerate(rows, 1):
         if len(row) != n:
             raise GroupError(f"table row {i} has {len(row)} entries, expected {n}")
+        if isinstance(row, list):
+            for j, entry in enumerate(row, 1):
+                if not (re.fullmatch(r"[+-]?[0-9]+", entry) and -(2**63) <= int(entry) < 2**63):
+                    raise GroupError(f"table row {i} entry {j} is not an int64 integer: {entry!r}")
 
 
 def is_maximal_cyclic(H: SubgroupHandle) -> bool:

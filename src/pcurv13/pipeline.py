@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from . import bazaikin, cohomology, groups, spectral
 from .spectral import _gate
@@ -70,7 +70,6 @@ AXIOMS: dict[str, str] = {
 class ScenarioInput:
     symmetry_rank: int
     cohomology_type: str = RATIONAL
-    q: Optional[bazaikin.QTuple] = None
 
     def __post_init__(self):
         if self.symmetry_rank not in (2, 3):
@@ -250,10 +249,7 @@ def _three_group_options() -> dict:
     """Catalog instance of the classification: a 3-group containing a rank
     two elementary abelian subgroup but none of the three order-27
     obstructions is one of the two small types."""
-    small = {
-        "Z3xZ3": groups.abelian([3, 3]),
-        "Z9semiZ3": groups.z9_semi_z3(),
-    }
+    small = [groups.build_standard(name) for name in ("Z3xZ3", "Z9semiZ3")]
     satisfying = []
     verdict = True
     for name in _THREE_GROUP_CATALOG:
@@ -267,7 +263,7 @@ def _three_group_options() -> dict:
         ):
             continue
         satisfying.append(name)
-        if not any(groups.is_isomorphic(G, H) for H in small.values()):
+        if not any(groups.is_isomorphic(G, H) for H in small):
             verdict = False
     return {"hypothesis_met": satisfying, "all_small": verdict}
 

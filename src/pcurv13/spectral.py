@@ -768,7 +768,7 @@ def _frame_minimum(
         if not fr.xy_alive4:
             options = [(1, s42_zero + s15_zero, (w_coords, None, None))]
         else:
-            tau_reps = _quotient_reps(_std_basis(6), fr.b60(w))
+            tau_reps = fr.page60_reps(w)
             t_share, t_coords, evaluated = (
                 _tau_minimum(fr, w, tau_reps, s15) if tau_reps else (s15_zero, (), 0)
             )

@@ -152,7 +152,7 @@ def test_criterion_4_wolf_equivalence():
         if (p.m * p.n) % 2 == 1:
             catalog.append(gr.build_burnside(p))
     for orders in _odd_abelian_catalog(243):
-        catalog.append(gr.abelian(orders))
+        catalog.append(gr.build_standard("x".join(f"Z{k}" for k in orders)))
     exceptions = []
     for G in catalog:
         sylow_cyclic = gr.all_sylow_cyclic(G)
@@ -175,11 +175,11 @@ def test_criterion_4_wolf_equivalence():
 
 def test_criterion_5_order_27():
     five = {
-        "Z27": gr.cyclic(27),
-        "Z9xZ3": gr.abelian([9, 3]),
-        "Z3cubed": gr.abelian([3, 3, 3]),
-        "Z9semiZ3": gr.z9_semi_z3(),
-        "U33": gr.unitriangular27(),
+        "Z27": gr.build_standard("Z27"),
+        "Z9xZ3": gr.build_standard("Z9xZ3"),
+        "Z3cubed": gr.build_standard("Z3xZ3xZ3"),
+        "Z9semiZ3": gr.build_standard("Z9semiZ3"),
+        "U33": gr.build_standard("U33"),
     }
     labels = {name: gr.classify_order_27(G) for name, G in five.items()}
     assert labels == {name: name for name in five}

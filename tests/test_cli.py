@@ -83,7 +83,7 @@ def test_group_build_name_roundtrip(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "group", "build", "--name", "U33", "--out", str(path))
     assert code == 0
     G = gr.read_group_file(path)
-    assert np.array_equal(G.table, gr.unitriangular27().table)
+    assert np.array_equal(G.table, gr.build_standard("U33").table)
 
 
 def test_group_build_invalid_params(capsys):
@@ -111,8 +111,11 @@ def test_group_analyze_rejects_ragged_row(tmp_path, capsys):
 @pytest.mark.parametrize(
     "entry, line",
     [
-        ("99999999999999999999999", "could not convert string '99999999999999999999999' to int64"),
-        ("0.5", "could not convert string '0.5' to int64"),
+        (
+            "99999999999999999999999",
+            "table row 2 entry 2 is not an int64 integer: '99999999999999999999999'",
+        ),
+        ("0.5", "table row 2 entry 2 is not an int64 integer: '0.5'"),
     ],
 )
 def test_group_analyze_rejects_entry_that_is_no_int64(entry, line, tmp_path, capsys):
