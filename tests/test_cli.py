@@ -242,6 +242,29 @@ def test_theorem_a_json_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the whole `theorem-a --explain` output: it prints every step's
+# inputs and output repr and every note, so a refactor of the case engine
+# that changes any of them shows here
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "--rank 2 --cohomology rational",
+            "ebc864738f45dcae4612fc1fa0504fd452816dadde6d270d17765bf674a0ebe9",
+        ),
+        (
+            "--rank 2 --cohomology mod3",
+            "74c04a362e827783c02d5a35992419ae66dbace925433cd48a5aa7707069cfd0",
+        ),
+        ("--rank 3", "7d3364fb74b01907225a9aab4b6959b328f26f6322fbab593860aae406162c30"),
+    ],
+)
+def test_theorem_a_explain_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(capsys, "theorem-a", *argv.split(), "--explain")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [
