@@ -235,7 +235,15 @@ def cmd_ss_verify(args) -> int:
         "free_action_possible": not report.verdict,
     }
     if args.trace:
+        # self-check: the page engine, independent of the sweep's factored
+        # minimum, must leave the same number of degree-6 survivors
         pages = spectral.run_choice_pages(args.p, report.minimizing_choice)
+        if pages[-1].total_degree(6) != report.min_deg6_survivors:
+            raise spectral.ProofGateError(
+                f"the page engine leaves {pages[-1].total_degree(6)} degree-6 "
+                f"survivors for the minimizing choice; the sweep reports "
+                f"{report.min_deg6_survivors}"
+            )
         payload["minimizing_choice"] = {
             "a": list(report.minimizing_choice.a),
             "d3y": list(report.minimizing_choice.d3y),

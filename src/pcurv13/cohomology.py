@@ -69,7 +69,7 @@ class ExactSolution:
 
     @property
     def chi_bar(self) -> int:
-        return sum((-1) ** i * d for i, d in enumerate(self.R))
+        return euler_char(self.R)
 
 
 def smith_gysin_solve(
@@ -276,10 +276,6 @@ class FixedPointProfile:
     @property
     def total_betti(self) -> int:
         return sum(sum(COMPONENT_BETTI[c]) for c in self.components)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(component_dim(c) for c in self.components)
 
     def count(self, label: str) -> int:
         return sum(1 for c in self.components if c == label)

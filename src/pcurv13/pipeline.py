@@ -15,12 +15,12 @@ be replayed via the operation registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import bazaikin, cohomology, groups, spectral
-from .spectral import _gate
+from .spectral import ProofGateError, _gate
 
 RATIONAL = "rational"
 MOD3 = "mod3"
@@ -88,14 +88,7 @@ class TraceStep:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "tag": self.tag,
-            "kind": self.kind,
-            "name": self.name,
-            "inputs": self.inputs,
-            "output": self.output,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -317,13 +310,19 @@ class _Tracer:
     def __init__(self):
         self.steps: list[TraceStep] = []
 
-    def op(self, _tag: str, _opname: str, note: str = "", **inputs):
+    def op(self, _tag: str, _opname: str, note: str = "", _expect=None, **inputs):
+        """Run and record a registry op; a given ``_expect`` is a proof gate
+        on its output."""
         out = OPS[_opname](**inputs)
         self.steps.append(
             TraceStep(
                 tag=_tag, kind="op", name=_opname, inputs=inputs, output=out, note=note
             )
         )
+        if _expect is not None and out != _expect:
+            raise ProofGateError(
+                f"[{_tag}] {_opname} gave {out!r}, expected {_expect!r}"
+            )
         return out
 
     def axiom(self, _tag: str, _name: str, note: str = ""):
@@ -341,6 +340,12 @@ class _Tracer:
 
 def _divisors(n: int) -> frozenset[int]:
     return frozenset(d for d in range(1, n + 1) if n % d == 0)
+
+
+def _stabilizer_bound(k: int, per_component: Iterable[int]) -> frozenset[int]:
+    """Indices when the group permutes k components: passing to a component
+    stabilizer multiplies the index by at most k."""
+    return frozenset(i * d for i in range(1, k + 1) for d in per_component)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +404,7 @@ def _torus_fixed_branch(tr: _Tracer) -> frozenset[int]:
             "the fixed set of the full torus has at most this many "
             "components, bounding the index of a component stabilizer"
         ),
+        _expect=3,
     )
     tr.axiom(
         tag,
@@ -418,7 +424,7 @@ def _torus_fixed_branch(tr: _Tracer) -> frozenset[int]:
             "dimension at most seven"
         ),
     )
-    feas = [
+    for k in range(0, 4):
         tr.op(
             tag,
             "cohomology.borel_feasible",
@@ -429,11 +435,39 @@ def _torus_fixed_branch(tr: _Tracer) -> frozenset[int]:
                 "7-dimensional circle-fixed sets; each circle contributes "
                 "codimension 4, which can never total 10"
             ),
+            _expect=False,
         )
-        for k in range(0, 4)
-    ]
-    _gate(not any(feas), "a circle-codimension total of 10 is feasible")
     return frozenset(range(1, even + 1))
+
+
+def _lefschetz_steps(
+    tr: _Tracer, tag: str, component: str, expect: tuple, notes: tuple[str, str, str]
+) -> list[int]:
+    """Quotient the component by a second, fixed-point-free circle, take the
+    Lefschetz numbers odd-order isometries realize on the quotient, and keep
+    the odd primes they allow; ``expect`` and ``notes`` go to the three
+    steps in that order."""
+    betti_x = list(cohomology.COMPONENT_BETTI[component])
+    gys = tr.op(
+        tag,
+        "cohomology.smith_gysin_solve",
+        betti_x=betti_x,
+        dim=len(betti_x) - 1,
+        note=notes[0],
+        _expect=expect[0],
+    )
+    lef = tr.op(
+        tag,
+        "cohomology.lefschetz_value_set",
+        dims=gys["solutions"][0],
+        odd_order=True,
+        note=notes[1],
+        _expect=expect[1],
+    )
+    tr.op(
+        tag, "cohomology.surviving_odd_primes", values=lef, note=notes[2], _expect=expect[2]
+    )
+    return lef
 
 
 def _dim_1_3_branch(tr: _Tracer) -> frozenset[int]:
@@ -441,48 +475,31 @@ def _dim_1_3_branch(tr: _Tracer) -> frozenset[int]:
     tag = "fixed-dim-1-3"
     _splitting_steps(tr, tag)
     betti = tr.op(tag, "bazaikin.rational_betti")
-    even = tr.op(
+    tr.op(
         tag,
         "cohomology.even_betti_total",
         betti=betti,
         note="at most this many fixed components, so the component "
         "stabilizer in the odd-order part has index dividing 3",
+        _expect=3,
     )
-    _gate(even == 3, "the even Betti total is not 3")
     # dimension 1: the component is a circle, stabilizer cyclic
     # dimension 3: quotient Euler characteristic forces total cyclicity
-    gys = tr.op(
+    lef = _lefschetz_steps(
+        tr,
         tag,
-        "cohomology.smith_gysin_solve",
-        betti_x=[1, 0, 0, 1],
-        dim=3,
-        note=(
+        "S3",
+        ({"solutions": [[1, 0, 1]], "chi_bar": [2]}, [2], []),
+        (
             "3-dimensional rational-sphere component with a second circle "
-            "acting without fixed points; unique consistent quotient ranks"
-        ),
-    )
-    _gate(
-        gys["solutions"] == [[1, 0, 1]] and gys["chi_bar"] == [2],
-        "the 3-sphere quotient ranks are not [1, 0, 1] with Euler characteristic 2",
-    )
-    lef = tr.op(
-        tag,
-        "cohomology.lefschetz_value_set",
-        dims=gys["solutions"][0],
-        odd_order=True,
-    )
-    primes = tr.op(
-        tag,
-        "cohomology.surviving_odd_primes",
-        values=lef,
-        note=(
+            "acting without fixed points; unique consistent quotient ranks",
+            "",
             "an elementary abelian p x p subgroup would force p to divide an "
             "achievable Lefschetz number; no odd prime does, so all Sylow "
-            "subgroups of the stabilizer are cyclic"
+            "subgroups of the stabilizer are cyclic",
         ),
     )
-    _gate(primes == [], "an odd prime survives the Lefschetz divisibility test")
-    ds = tr.op(
+    tr.op(
         tag,
         "cohomology.odd_divisor_candidates",
         values=lef,
@@ -491,73 +508,49 @@ def _dim_1_3_branch(tr: _Tracer) -> frozenset[int]:
             "subgroup whose index must divide an achievable Lefschetz "
             "number; only 1 survives, so the stabilizer is cyclic"
         ),
+        _expect=[1],
     )
-    _gate(ds == [1], "a metacyclic class index other than 1 survives")
     return _divisors(6)
 
 
 def _cp1s3_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
     """A component with two even-degree classes pins the whole odd part."""
-    gys = tr.op(
+    lef = _lefschetz_steps(
+        tr,
         tag,
-        "cohomology.smith_gysin_solve",
-        betti_x=list(cohomology.COMPONENT_BETTI["CP1xS3"]),
-        dim=5,
-        note="quotient of the component by a second, fixed-point-free circle",
+        "CP1xS3",
+        ({"solutions": [[1, 0, 2, 0, 1]], "chi_bar": [4]}, [1, 4], []),
+        (
+            "quotient of the component by a second, fixed-point-free circle",
+            "odd-order isometries realize only these Lefschetz numbers",
+            "",
+        ),
     )
-    _gate(
-        gys["solutions"] == [[1, 0, 2, 0, 1]],
-        "the CP1xS3 quotient ranks are not [1, 0, 2, 0, 1]",
-    )
-    lef = tr.op(
-        tag,
-        "cohomology.lefschetz_value_set",
-        dims=gys["solutions"][0],
-        odd_order=True,
-        note="odd-order isometries realize only these Lefschetz numbers",
-    )
-    _gate(lef == [1, 4], "the CP1xS3 Lefschetz values are not [1, 4]")
-    primes = tr.op(tag, "cohomology.surviving_odd_primes", values=lef)
-    _gate(primes == [], "an odd prime survives the Lefschetz divisibility test")
-    ds = tr.op(
+    tr.op(
         tag,
         "cohomology.odd_divisor_candidates",
         values=lef,
         note="the odd-order part is cyclic; only the index <= 2 passage "
         "to the trivial-action subgroup remains",
+        _expect=[1],
     )
-    _gate(ds == [1], "a metacyclic class index other than 1 survives")
     return _divisors(2)
 
 
 def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
     """Rational 5-sphere component: odd part has cyclic subgroup of index
     dividing 9."""
-    gys = tr.op(
+    lef = _lefschetz_steps(
+        tr,
         tag,
-        "cohomology.smith_gysin_solve",
-        betti_x=list(cohomology.COMPONENT_BETTI["S5"]),
-        dim=5,
-        note="quotient by a second, fixed-point-free circle",
+        "S5",
+        ({"solutions": [[1, 0, 1, 0, 1]], "chi_bar": [3]}, [3], [3]),
+        (
+            "quotient by a second, fixed-point-free circle",
+            "",
+            "only p = 3 can support an elementary abelian p x p subgroup",
+        ),
     )
-    _gate(
-        gys["solutions"] == [[1, 0, 1, 0, 1]] and gys["chi_bar"] == [3],
-        "the 5-sphere quotient ranks are not [1, 0, 1, 0, 1] with Euler characteristic 3",
-    )
-    lef = tr.op(
-        tag,
-        "cohomology.lefschetz_value_set",
-        dims=gys["solutions"][0],
-        odd_order=True,
-    )
-    _gate(lef == [3], "the 5-sphere Lefschetz values are not [3]")
-    primes = tr.op(
-        tag,
-        "cohomology.surviving_odd_primes",
-        values=lef,
-        note="only p = 3 can support an elementary abelian p x p subgroup",
-    )
-    _gate(primes == [3], "the surviving odd primes are not exactly [3]")
     for name in ("Z3xZ3xZ3", "Z9xZ3", "U33"):
         idx = tr.op(
             tag,
@@ -569,18 +562,15 @@ def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
                 "value"
             ),
         )
-        obstr = tr.op(
+        tr.op(
             tag,
             "cohomology.divisibility_obstruction",
             kind="cd",
             value=idx,
             lef_values=lef,
+            _expect={"excluded": True, "surviving": []},
         )
-        _gate(
-            obstr["excluded"],
-            f"{name} is not excluded by the divisibility obstruction",
-        )
-    opts = tr.op(
+    tr.op(
         tag,
         "groups.three_group_options",
         note=(
@@ -589,13 +579,10 @@ def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
             "two small types; hence the Sylow 3-subgroup is cyclic, "
             "elementary abelian of rank 2, or the order-27 metacyclic type"
         ),
-    )
-    _gate(
-        opts["all_small"],
-        "a catalog 3-group meeting the hypothesis is not one of the two small types",
+        _expect={"hypothesis_met": ["Z3xZ3", "Z9semiZ3"], "all_small": True},
     )
     for name in ("Z3xZ3", "Z9semiZ3"):
-        nr = tr.op(
+        tr.op(
             tag,
             "groups.normal_rank",
             name=name,
@@ -605,9 +592,9 @@ def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
                 "smallest prime; adjoining an order-3 (or order-9) subgroup "
                 "yields an index-3 subgroup with all Sylow subgroups cyclic"
             ),
+            _expect=2,
         )
-        _gate(nr == 2, f"{name} does not have normal 3-rank 2")
-    ds = tr.op(
+    tr.op(
         tag,
         "cohomology.odd_divisor_candidates",
         values=lef,
@@ -615,8 +602,8 @@ def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
             "metacyclic class index divides 3, on the group itself (cyclic "
             "Sylow 3) or on the index-3 complement-extension"
         ),
+        _expect=[1, 3],
     )
-    _gate(ds == [1, 3], "the metacyclic class indices are not exactly [1, 3]")
     return _divisors(9)
 
 
@@ -637,15 +624,7 @@ def lemma56_branch(
         # the odd part acts on the unique such component
         bounds = _cp1s3_component_steps(tr, tag)
     else:
-        k = profile.count("S5")
-        per_component = _s5_component_steps(tr, tag)
-        # passing to a component stabilizer multiplies the index by at most k
-        if k == 1:
-            bounds = per_component
-        elif k == 2:
-            bounds = _divisors(18)
-        else:
-            bounds = _divisors(18) | _divisors(27)
+        bounds = _stabilizer_bound(profile.count("S5"), _s5_component_steps(tr, tag))
     return bounds, tr.steps
 
 
@@ -665,10 +644,9 @@ def mod3_branch(
         tag,
         "bazaikin.mod3_betti_totals",
         note="mod-3 Betti total of the universal cover is at most 10",
+        _expect={bazaikin.MOD3_CP2xS9: 6, bazaikin.MOD3_CP4xS5: 10},
     )
-    budget = max(totals.values())
-    _gate(budget == 10, "the mod-3 Betti budget is not 10")
-    per_component = budget // k
+    per_component = max(totals.values()) // k
     census = tr.op(
         tag,
         "cohomology.mod_p_component_census",
@@ -692,7 +670,7 @@ def mod3_branch(
             "cohomology 5-sphere component",
         )
     if "S2xS3" in names:
-        verdict = tr.op(
+        tr.op(
             tag,
             "spectral.exhaustive_verdict",
             p=3,
@@ -701,8 +679,12 @@ def mod3_branch(
                 "in the quotient fibration always survives, so no free "
                 "rank-two elementary abelian 3-group on this component type"
             ),
+            _expect={
+                "verdict": True,
+                "min_deg6_survivors": 4,
+                "choices_examined": 166213,
+            },
         )
-        _gate(verdict["verdict"], "the spectral sweep admits a free action on S2xS3")
     ds = tr.op(
         tag,
         "cohomology.odd_divisor_candidates",
@@ -712,28 +694,23 @@ def mod3_branch(
             "component stabilizer are cyclic and its metacyclic class index "
             "divides 3"
         ),
+        _expect=[1, 3],
     )
-    _gate(ds == [1, 3], "the metacyclic class indices are not exactly [1, 3]")
-    # a component stabilizer has index at most k (dividing 3 in the odd part)
-    if k == 2:
-        bounds = _divisors(6)
-    else:
-        bounds = _divisors(6) | _divisors(9)
-    return bounds, tr.steps
+    return _stabilizer_bound(k, ds), tr.steps
 
 
 def _dim7_branch(tr: _Tracer) -> frozenset[int]:
     """Seven-dimensional circle-fixed set: either directly cyclic or the
     situation reduces to the other branches."""
     tag = "fixed-dim-7"
-    two_big = tr.op(
+    tr.op(
         tag,
         "cohomology.frankel_compatible",
         dims=[7, 7],
         ambient=AMBIENT_DIM,
         note="two seven-dimensional components cannot coexist",
+        _expect=False,
     )
-    _gate(not two_big, "two 7-dimensional components are Frankel-compatible")
     tr.axiom(
         tag,
         "frankel",

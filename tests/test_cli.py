@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pcurv13 import groups as gr
+from pcurv13 import spectral as ss
 from pcurv13.cli import main
 
 
@@ -174,6 +175,21 @@ def test_ss_verify_trace(capsys):
     assert data["pages"][0]["r"] == 2
     assert data["pages"][-1]["r"] == "inf"
     assert data["pages"][-1]["total_degree_6"] == data["min_deg6_survivors"]
+
+
+def test_ss_verify_trace_checks_the_page_engine(capsys, monkeypatch):
+    run_choice_pages = ss.run_choice_pages
+
+    def one_more_survivor(p, choice):
+        *pages, limit = run_choice_pages(p, choice)
+        dims = dict(limit.dims)
+        dims[(6, 0)] = dims.get((6, 0), 0) + 1
+        return [*pages, ss.BigradedPage(r=None, dims=dims)]
+
+    monkeypatch.setattr(ss, "run_choice_pages", one_more_survivor)
+    with pytest.raises(ss.ProofGateError, match="leaves 5 degree-6 survivors"):
+        main(["ss", "verify", "--p", "3", "--trace"])
+    assert capsys.readouterr().out == ""
 
 
 def test_ss_verify_stats(capsys):

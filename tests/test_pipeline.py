@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from pcurv13 import cohomology as ch
 from pcurv13 import pipeline as pl
+from pcurv13 import spectral as ss
 
 SRC = Path(pl.__file__).resolve().parent
 
@@ -201,6 +203,94 @@ sys.exit(1)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "optimize: 1" in proc.stdout
     assert "alternating Betti sum is even" in proc.stdout
+
+
+# (tag, op) pairs that carry no expected output: the Betti vector, the
+# profile list and the quotient indices feed later gated steps, and the
+# Davis parity and the mod-3 census shape are gated on a derived value
+_UNGATED_IN_BOTH = {
+    ("torus-fixed", "bazaikin.rational_betti"),
+    ("fixed-dim-5", "cohomology.enumerate_profiles"),
+    ("fixed-dim-5:S5", "groups.small_normal_quotient_index"),
+    *(
+        (tag, name)
+        for tag in (
+            "fixed-dim-1-3",
+            "fixed-dim-5:S5",
+            "fixed-dim-5:CP1xS3",
+            "fixed-dim-5:S5,CP1xS3",
+        )
+        for name in ("bazaikin.rational_betti", "cohomology.davis_parity")
+    ),
+}
+UNGATED = {
+    pl.RATIONAL: _UNGATED_IN_BOTH
+    | {
+        (tag, name)
+        for tag in ("fixed-dim-5:S5,S5", "fixed-dim-5:S5,S5,S5")
+        for name in (
+            "bazaikin.rational_betti",
+            "cohomology.davis_parity",
+            "groups.small_normal_quotient_index",
+        )
+    },
+    pl.MOD3: _UNGATED_IN_BOTH
+    | {
+        ("mod3:S5,S5", "cohomology.mod_p_component_census"),
+        ("mod3:S5,S5,S5", "cohomology.mod_p_component_census"),
+    },
+}
+
+
+def _changed(out):
+    """A different output of the same kind."""
+    if isinstance(out, bool):
+        return not out
+    if isinstance(out, int):
+        return out + 1
+    if isinstance(out, list):
+        return out + [out[-1] if out else 1]
+    return {**out, "extra": True}
+
+
+def _changing_call(op, nth):
+    """``op`` with the output of its nth call (counting from 0) changed."""
+    calls = itertools.count()
+
+    def changed_op(**inputs):
+        out = op(**inputs)
+        return _changed(out) if next(calls) == nth else out
+
+    return changed_op
+
+
+@pytest.mark.parametrize("coh", [pl.RATIONAL, pl.MOD3])
+def test_every_gated_step_stops_a_changed_output(coh, monkeypatch):
+    """Change one op step's output at a time: a gated step raises at once,
+    naming itself, what it got and the output it expected; the pinned pairs
+    reach a later check or the end."""
+    scenario = pl.ScenarioInput(2, coh)
+    calls_so_far = {}
+    ungated = set()
+    for step in pl.theorem_a_report(scenario).case_trace:
+        if step.kind != "op":
+            continue
+        nth = calls_so_far[step.name] = calls_so_far.get(step.name, -1) + 1
+        message = (
+            f"[{step.tag}] {step.name} gave {_changed(step.output)!r}, "
+            f"expected {step.output!r}"
+        )
+        with monkeypatch.context() as m:
+            m.setitem(pl.OPS, step.name, _changing_call(pl.OPS[step.name], nth))
+            try:
+                pl.theorem_a_report(scenario)
+            except ss.ProofGateError as exc:
+                if str(exc) == message:
+                    continue
+            except ValueError:
+                pass  # a changed Betti vector fails the parity criterion's dimension check
+        ungated.add((step.tag, step.name))
+    assert ungated == UNGATED[coh]
 
 
 def test_no_bare_asserts_in_the_package():
