@@ -109,6 +109,16 @@ def test_group_analyze_rejects_ragged_row(tmp_path, capsys):
     assert "table row 2 has 2 entries, expected 3" in err
 
 
+def test_group_analyze_rejects_an_entry_that_would_wrap_under_int16(tmp_path, capsys):
+    # 65536 is 0 in int16, the right entry of Z2 at (1, 1)
+    path = tmp_path / "wrap.grp"
+    path.write_text("order 2\n0 1\n1 65536\n")
+    code, out, err = run_cli(capsys, "group", "analyze", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot read group table: table entries out of range\n"
+
+
 @pytest.mark.parametrize(
     "entry, line",
     [

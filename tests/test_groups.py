@@ -2,7 +2,7 @@ import gc
 import hashlib
 import json
 import weakref
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import prod
 
 import numpy as np
@@ -119,6 +119,101 @@ def test_closure_matches_squaring_oracle():
             assert gr._closure_indices(G.table, seed) == want, (G.name, seed)
             assert gr._closure_indices(G.table, seed, cap=len(want)) == want, (G.name, seed)
             assert gr._closure_indices(G.table, seed, cap=len(want) - 1) is None, (G.name, seed)
+
+
+def is_group_by_definition(T):
+    """Brute-force reference: entries in range, a two-sided identity at 0,
+    every row and column a permutation, and all n^3 associativity triples."""
+    T = np.asarray(T)
+    n = len(T)
+    idx = np.arange(n)
+    if T.min() < 0 or T.max() >= n:
+        return False
+    if not ((T[0] == idx).all() and (T[:, 0] == idx).all()):
+        return False
+    if not ((np.sort(T, axis=1) == idx).all() and (np.sort(T, axis=0) == idx[:, None]).all()):
+        return False
+    # T[T][a, b, c] = (ab)c and T[a, T[b, c]] = a(bc)
+    return bool((T[T] == T[idx[:, None, None], T[None, :, :]]).all())
+
+
+def accepted(T):
+    try:
+        gr.GroupTable(T)
+    except gr.GroupError:
+        return False
+    return True
+
+
+def bordered_tables(n):
+    """Every n x n table over 0..n-1 whose row 0 and column 0 are the identity."""
+    for interior in product(range(n), repeat=(n - 1) ** 2):
+        T = np.empty((n, n), dtype=np.int64)
+        T[0] = T[:, 0] = np.arange(n)
+        T[1:, 1:] = np.reshape(interior, (n - 1, n - 1))
+        yield T
+
+
+@pytest.mark.parametrize("n, tables", [(2, 2), (3, 81)])
+def test_validation_accepts_exactly_the_groups_among_bordered_tables(n, tables):
+    verdicts = [(accepted(T), is_group_by_definition(T)) for T in bordered_tables(n)]
+    assert len(verdicts) == tables
+    assert all(got == want for got, want in verdicts)
+    assert sum(got for got, _ in verdicts) == 1  # Z_n, the only group of order n
+
+
+def relabellings(T):
+    """Every table of the same group with the identity kept at 0."""
+    n = len(T)
+    out = set()
+    for rest in permutations(range(1, n)):
+        perm = np.array((0, *rest))
+        inv = np.argsort(perm)
+        out.add(perm[T[np.ix_(inv, inv)]].tobytes())
+    return out
+
+
+@pytest.mark.slow
+def test_validation_accepts_exactly_the_groups_of_order_4():
+    got = set()
+    for T in bordered_tables(4):
+        ok = accepted(T)
+        assert ok == is_group_by_definition(T), T
+        if ok:
+            got.add(T.tobytes())
+    want = set()
+    for name in ("Z4", "Z2xZ2"):
+        want |= relabellings(np.asarray(gr.build_standard(name).table, dtype=np.int64))
+    assert len(want) == 4  # three labellings of Z4 (by its involution), one of V4
+    assert got == want
+
+
+def test_every_single_cell_change_of_a_small_group_is_rejected():
+    small = [G for G in oracle_groups() if G.order <= 8]
+    small += [gr.build_standard(n) for n in ("Z2xZ2", "Z2xZ4", "Z2xZ2xZ2")]
+    small.append(gr.GroupTable(gr._metacyclic_table(4, 2, 3)))  # dihedral of order 8
+    for G in small:
+        n = G.order
+        for a, b, v in product(range(n), range(n), range(n)):
+            if v == G.table[a, b]:
+                continue
+            T = np.array(G.table, dtype=np.int64)
+            T[a, b] = v
+            assert not is_group_by_definition(T)
+            with pytest.raises(gr.GroupError):
+                gr.GroupTable(T)
+
+
+def test_inverse_is_where_the_row_meets_the_identity():
+    for G in oracle_groups():
+        assert list(G.inverse) == [int(np.argmax(G.table[g] == 0)) for g in range(G.order)]
+
+
+def test_an_entry_that_would_wrap_under_int16_is_out_of_range():
+    T = np.array(gr.build_standard("Z4").table, dtype=np.int64)
+    T[1, 1] += 65536  # an int16 cast would wrap it back to the right entry, 2
+    with pytest.raises(gr.GroupError, match="table entries out of range"):
+        gr.GroupTable(T)
 
 
 # --- Burnside family ----------------------------------------------------
