@@ -770,6 +770,7 @@ def theorem_a_report(scenario: ScenarioInput) -> ObstructionReport:
             dim=5,
             note="all five-dimensional fixed-set profiles within the Betti "
             "budget of the ambient rational type",
+            _expect=[["S5"], ["S5", "S5"], ["S5", "S5", "S5"], ["CP1xS3"], ["S5", "CP1xS3"]],
         )
         for comps in profiles:
             profile = cohomology.FixedPointProfile(tuple(comps))

@@ -205,12 +205,11 @@ sys.exit(1)
     assert "alternating Betti sum is even" in proc.stdout
 
 
-# (tag, op) pairs that carry no expected output: the Betti vector, the
-# profile list and the quotient indices feed later gated steps, and the
-# Davis parity and the mod-3 census shape are gated on a derived value
+# (tag, op) pairs that carry no expected output: the Betti vector and the
+# quotient indices feed later gated steps, and the Davis parity and the
+# mod-3 census shape are gated on a derived value
 _UNGATED_IN_BOTH = {
     ("torus-fixed", "bazaikin.rational_betti"),
-    ("fixed-dim-5", "cohomology.enumerate_profiles"),
     ("fixed-dim-5:S5", "groups.small_normal_quotient_index"),
     *(
         (tag, name)
