@@ -1,12 +1,13 @@
 """Small finite groups as explicit multiplication tables.
 
-Groups are dense n x n Cayley tables over element indices 0..n-1 with the
-identity at index 0.  GroupTable validates the Latin-square property and
-associativity (Light's test over a computed generating set) on every
-table, so a GroupTable is a group, not just a magma.  The table keeps that
-generating set: normality is tested by conjugating with the generators
-only, and the isomorphism search maps them.  All structural queries are
-exhaustive searches; the hard cap keeps them exact and fast.
+Groups are dense n x n int16 Cayley tables over element indices 0..n-1
+with the identity at index 0.  GroupTable checks the group axioms on every
+table (entries in range, the identity, Light's associativity test over a
+computed generating set, every power walk reaching the identity), so a
+GroupTable is a group and its rows and columns are permutations.  The table
+keeps that generating set: normality is tested by conjugating with the
+generators only, and the isomorphism search maps them.  All structural
+queries are exhaustive searches; the hard cap keeps them exact and fast.
 
 Named groups come from build_standard alone, Burnside groups from
 build_burnside, which returns the table still referenced for the same
@@ -44,16 +45,18 @@ class GroupError(ValueError):
     pass
 
 
-def _element_orders(table: np.ndarray) -> np.ndarray:
-    """Order of every element, from one power walk per cyclic subgroup.
+def _element_orders(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order and inverse of every element, one power walk per cyclic subgroup.
 
-    The walk g, g^2, ..., g^m = 1 gives each g^k the order m / gcd(k, m), so
-    it settles at least the phi(m) generators of <g>, and later walks start
-    only from elements whose order is still unknown.  A walk is cut off at
-    n steps, so a table that is not a group fails instead of looping.
+    The walk g, g^2, ..., g^m = 1 gives each g^k the order m / gcd(k, m) and
+    the inverse g^(m-k), so it settles at least the phi(m) generators of
+    <g>, and later walks start only from elements whose order is still
+    unknown.  A walk is cut off at n steps, so a power that never reaches
+    the identity fails instead of looping.
     """
     n = table.shape[0]
     orders = [1] + [0] * (n - 1)
+    inverse = [0] * n
     for g in range(1, n):
         if orders[g]:
             continue
@@ -68,7 +71,8 @@ def _element_orders(table: np.ndarray) -> np.ndarray:
         for k, x in enumerate(powers, 1):
             if not orders[x]:
                 orders[x] = m // gcd(k, m)
-    return np.array(orders, dtype=np.int64)
+                inverse[x] = powers[m - k - 1]
+    return np.array(orders, dtype=np.int64), np.array(inverse, dtype=np.int64)
 
 
 class GroupTable:
@@ -79,21 +83,24 @@ class GroupTable:
     )
 
     def __init__(self, table, name: str = "G"):
-        arr = np.ascontiguousarray(np.asarray(table, dtype=np.int64))
+        arr = np.asarray(table)
+        if arr.dtype != np.int16:
+            arr = np.asarray(arr, dtype=np.int64)
         n = arr.shape[0]
         if arr.shape != (n, n):
             raise GroupError("multiplication table must be square")
         if n < 1 or n > ORDER_CAP:
             raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
-        # the generating set Light's test ran over
-        self.generators: tuple[int, ...] = _validate_table(arr)
-        arr.setflags(write=False)
+        # before narrowing, which would wrap an entry like 65536 + k onto k
+        if arr.min() < 0 or arr.max() >= n:
+            raise GroupError("table entries out of range")
+        arr = np.ascontiguousarray(arr, dtype=np.int16)
+        # generators: the generating set Light's test ran over
+        self.generators, self.element_order, self.inverse = _validate_table(arr)
+        for a in (arr, self.element_order, self.inverse):
+            a.setflags(write=False)
         self.order = n
         self.table = arr
-        self.element_order = _element_orders(arr)
-        self.element_order.setflags(write=False)
-        self.inverse = np.argmax(arr == 0, axis=1)
-        self.inverse.setflags(write=False)
         self.name = name
         self._abelian: Optional[bool] = None
 
@@ -140,26 +147,27 @@ class GroupTable:
         return hash((self.order, self.table.tobytes()))
 
 
-def _validate_table(arr: np.ndarray) -> tuple[int, ...]:
-    """Raise GroupError unless arr is a group table; return the generating
-    set Light's test ran over.  The generating set is computed only after
-    the Latin-square checks, which its closures rely on to terminate."""
-    n = arr.shape[0]
-    idx = np.arange(n)
-    if arr.min() < 0 or arr.max() >= n:
-        raise GroupError("table entries out of range")
+def _validate_table(arr: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Raise GroupError unless arr, with entries already checked to lie in
+    0..n-1, is a group table; return the generating set Light's test ran
+    over, the element orders and the inverses.
+
+    The checks prove the group axioms, so no row or column needs a check of
+    its own.  0 is a two-sided identity.  The elements a passing Light's
+    test, (x a) y = x (a y) for all x and y, are closed under products, so
+    passing it on a generating set (whose closure under right multiplication
+    from 0 is every element) makes the table associative: a finite monoid
+    with identity 0.  Every power walk reaches 0, and in a monoid g^m = 1
+    makes g a unit, so the monoid is a group.
+    """
+    idx = np.arange(arr.shape[0])
     if not (arr[0] == idx).all() or not (arr[:, 0] == idx).all():
         raise GroupError("index 0 is not a two-sided identity")
-    if not (np.sort(arr, axis=1) == idx).all():
-        raise GroupError("some row is not a permutation")
-    if not (np.sort(arr, axis=0) == idx[:, None]).all():
-        raise GroupError("some column is not a permutation")
-    # Light's associativity test over a generating set
     gens = _generating_set(arr)
     for a in gens:
         if not np.array_equal(arr[arr[:, a], :], arr[:, arr[a, :]]):
             raise GroupError(f"associativity fails through element {a}")
-    return gens
+    return (gens, *_element_orders(arr))
 
 
 def _closure_indices(table: np.ndarray, seed: Iterable[int], cap: int | None = None) -> Optional[tuple[int, ...]]:
@@ -236,9 +244,7 @@ class SubgroupHandle:
 
     @property
     def is_cyclic(self) -> bool:
-        return any(
-            int(self.parent.element_order[g]) == self.order for g in self.elements
-        )
+        return bool((self.parent.element_order[list(self.elements)] == self.order).any())
 
     @property
     def is_normal(self) -> bool:
@@ -265,7 +271,7 @@ def closure(G: GroupTable, seed: Iterable[int]) -> SubgroupHandle:
 def _cyclic_table(n: int) -> np.ndarray:
     if not 1 <= n <= ORDER_CAP:
         raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int16)
     return (idx[:, None] + idx[None, :]) % n
 
 
@@ -302,12 +308,13 @@ def _metacyclic_table(m: int, n: int, r: int) -> np.ndarray:
         raise GroupError(f"r^n = {pow(r, n, m)} != 1 mod {m}")
     if gcd(r % m if m > 1 else 1, m) != 1:
         raise GroupError("r must be invertible mod m")
-    # (i, j) has index i*n + j: the entry at row (i, j), column (i', j') is
-    # the first coordinate (on m*n*m cells) times n plus the second
+    # (i, j) has index i*n + j: the entry at row (i, j), column (i', j') is the
+    # first coordinate (on m*n*m cells, R_j i' in int64) times n plus the
+    # second, added in int16 (every index is below ORDER_CAP)
     I, J = np.arange(m), np.arange(n)
     R = np.array([pow(r, j, m) for j in range(n)], dtype=np.int64)
-    first = (I[:, None, None] + R[None, :, None] * I[None, None, :]) % m * n
-    second = (J[:, None] + J[None, :]) % n
+    first = ((I[:, None, None] + R[None, :, None] * I[None, None, :]) % m * n).astype(np.int16)
+    second = ((J[:, None] + J[None, :]) % n).astype(np.int16)
     return (first[:, :, :, None] + second[None, :, None, :]).reshape(m * n, m * n)
 
 
@@ -517,11 +524,8 @@ def p2_condition(G: GroupTable, p: int) -> bool:
 
 def two_p_condition(G: GroupTable) -> bool:
     """True iff every involution is central."""
-    for g in range(1, G.order):
-        if int(G.element_order[g]) == 2:
-            if not (G.table[g, :] == G.table[:, g]).all():
-                return False
-    return True
+    inv = np.flatnonzero(G.element_order == 2)
+    return bool((G.table[inv, :] == G.table[:, inv].T).all())
 
 
 PATTERNS = ("ZpxZp", "Z9xZ3", "Z3cubed", "U33", "Z9semiZ3")
@@ -655,17 +659,15 @@ def normal_p_complement(G: GroupTable, p: int) -> Optional[SubgroupHandle]:
     _require_prime(p)
     if G.order % p != 0:
         raise GroupError(f"{p} does not divide the group order {G.order}")
-    coprime = [g for g in range(G.order) if int(G.element_order[g]) % p != 0]
+    coprime = np.flatnonzero(G.element_order % p != 0)
     part = G.order
     while part % p == 0:
         part //= p
     if len(coprime) != part:
         return None
-    arr = np.array(coprime)
-    prods = G.table[np.ix_(arr, arr)]
-    if not np.isin(prods, arr).all():
+    if not np.isin(G.table[np.ix_(coprime, coprime)], coprime).all():
         return None
-    return SubgroupHandle._closed(G, tuple(coprime))
+    return SubgroupHandle._closed(G, tuple(coprime.tolist()))
 
 
 def min_cyclic_index(G: GroupTable) -> int:
@@ -851,12 +853,7 @@ def _check_table_shape(rows, n: int) -> None:
 
 def is_maximal_cyclic(H: SubgroupHandle) -> bool:
     """No cyclic subgroup of the parent strictly contains H."""
-    G = H.parent
-    h = H.order
+    eo = H.parent.element_order
     eset = set(H.elements)
-    for g in range(G.order):
-        og = int(G.element_order[g])
-        if og > h and og % h == 0:
-            if eset <= G.cyclic_span(g):
-                return False
-    return True
+    bigger = np.flatnonzero((eo > H.order) & (eo % H.order == 0)).tolist()
+    return not any(eset <= H.parent.cyclic_span(g) for g in bigger)

@@ -216,6 +216,23 @@ def test_an_entry_that_would_wrap_under_int16_is_out_of_range():
         gr.GroupTable(T)
 
 
+
+def test_every_table_is_int16(tmp_path):
+    assert gr.ORDER_CAP - 1 <= np.iinfo(np.int16).max  # every index fits
+    G = gr.build_standard("Z3xS3")
+    path = tmp_path / "g.grp"
+    with open(path, "w", encoding="utf-8") as fh:
+        gr.write_group_file(G, fh)
+    tables = [
+        G,
+        gr.build_burnside(gr.BurnsideParams(7, 3, 2)),
+        gr.read_group_file(path),
+        gr.sylow(G, 3).as_group(),
+        gr.GroupTable([[0, 1], [1, 0]]),
+    ]
+    assert [T.table.dtype for T in tables] == [np.int16] * len(tables)
+
+
 # --- Burnside family ----------------------------------------------------
 
 
