@@ -49,10 +49,9 @@ def _element_orders(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order and inverse of every element, one power walk per cyclic subgroup.
 
     The walk g, g^2, ..., g^m = 1 gives each g^k the order m / gcd(k, m) and
-    the inverse g^(m-k), so it settles at least the phi(m) generators of
-    <g>, and later walks start only from elements whose order is still
-    unknown.  A walk is cut off at n steps, so a power that never reaches
-    the identity fails instead of looping.
+    the inverse g^(m-k), settling at least the phi(m) generators of <g>;
+    later walks start only from elements of unknown order.  A walk is cut
+    off at n steps, so a power that never reaches 1 fails instead of looping.
     """
     n = table.shape[0]
     orders = [1] + [0] * (n - 1)
@@ -95,7 +94,6 @@ class GroupTable:
         if arr.min() < 0 or arr.max() >= n:
             raise GroupError("table entries out of range")
         arr = np.ascontiguousarray(arr, dtype=np.int16)
-        # generators: the generating set Light's test ran over
         self.generators, self.element_order, self.inverse = _validate_table(arr)
         for a in (arr, self.element_order, self.inverse):
             a.setflags(write=False)
@@ -195,15 +193,20 @@ def _closure_indices(table: np.ndarray, seed: Iterable[int], cap: int | None = N
 
 
 def _generating_set(table: np.ndarray) -> tuple[int, ...]:
+    """The least element not yet generated, added until all are generated.
+
+    In a group each closure is a subgroup strictly containing the last, so
+    its order is a multiple of the last one's; checking that rejects a
+    non-group early and keeps the set to at most log2(n) elements."""
     n = table.shape[0]
     gens: list[int] = []
-    have = {0}
-    x = 1
+    have: tuple[int, ...] = (0,)
     while len(have) < n:
-        while x in have:
-            x += 1
-        gens.append(x)
-        have = set(_closure_indices(table, gens))
+        gens.append(next((i for i, h in enumerate(have) if i != h), len(have)))
+        grown = _closure_indices(table, gens)
+        if len(grown) % len(have):
+            raise GroupError(f"closures of {len(have)} and {len(grown)} elements break Lagrange's theorem")
+        have = grown
     return tuple(gens)
 
 

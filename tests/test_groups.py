@@ -217,6 +217,16 @@ def test_an_entry_that_would_wrap_under_int16_is_out_of_range():
 
 
 
+def test_a_non_group_fails_at_its_second_generator():
+    # identity border and every other product 0: each new generator would
+    # add one element, so the generating set would take n - 1 closures;
+    # closures of 2 and then 3 elements are impossible in a group
+    n = gr.ORDER_CAP
+    T = np.zeros((n, n), dtype=np.int64)
+    T[0] = T[:, 0] = np.arange(n)
+    with pytest.raises(gr.GroupError, match="closures of 2 and 3 elements break Lagrange's theorem"):
+        gr.GroupTable(T)
+
 def test_every_table_is_int16(tmp_path):
     assert gr.ORDER_CAP - 1 <= np.iinfo(np.int16).max  # every index fits
     G = gr.build_standard("Z3xS3")
