@@ -193,10 +193,10 @@ def _closure_indices(table: np.ndarray, seed: Iterable[int], cap: int | None = N
 
 
 def _generating_set(table: np.ndarray) -> tuple[int, ...]:
-    """The least element not yet generated, added until all are generated.
-
+    """The least element not yet generated, added until all are; row 0 is
+    the identity, so each closure holds the new element and the loop ends.
     In a group each closure is a subgroup strictly containing the last, so
-    its order is a multiple of the last one's; checking that rejects a
+    its order is a multiple of the last one's: checking that rejects a
     non-group early and keeps the set to at most log2(n) elements."""
     n = table.shape[0]
     gens: list[int] = []
@@ -527,8 +527,8 @@ def p2_condition(G: GroupTable, p: int) -> bool:
 
 def two_p_condition(G: GroupTable) -> bool:
     """True iff every involution is central."""
-    inv = np.flatnonzero(G.element_order == 2)
-    return bool((G.table[inv, :] == G.table[:, inv].T).all())
+    involutions = np.flatnonzero(G.element_order == 2)
+    return bool((G.table[involutions, :] == G.table[:, involutions].T).all())
 
 
 PATTERNS = ("ZpxZp", "Z9xZ3", "Z3cubed", "U33", "Z9semiZ3")
