@@ -6,8 +6,10 @@ table (entries in range, the identity, Light's associativity test over a
 computed generating set, every power walk reaching the identity), so a
 GroupTable is a group and its rows and columns are permutations.  The table
 keeps that generating set: normality is tested by conjugating with the
-generators only, and the isomorphism search maps them.  All structural
-queries are exhaustive searches; the hard cap keeps them exact and fast.
+generators only, and the isomorphism search maps them.  Structural
+queries are exact searches that the hard cap keeps small; normal_rank
+searches only normal subgroups above the centre, not every elementary
+abelian subgroup, whose number grows exponentially with the rank.
 
 Named groups come from build_standard alone, Burnside groups from
 build_burnside, which returns the table still referenced for the same
@@ -33,7 +35,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, prod
+from math import gcd, log, prod
 from typing import Iterable, Optional, TextIO
 
 import numpy as np
@@ -600,47 +602,45 @@ def _contains_nonabelian27(G: GroupTable, label: str) -> bool:
 def normal_rank(G: GroupTable, p: int) -> int:
     """Largest k with an elementary abelian normal subgroup of order p^k.
 
-    Rejects non-p-groups.  Abelian p-groups short-circuit to the p-rank;
-    otherwise every elementary abelian subgroup is enumerated by closure
-    growth and tested for normality.
+    Rejects non-p-groups.  Two lemmas of p-group theory (Gorenstein,
+    Finite Groups, ch. 2 and 5) let the search grow normal subgroups only:
+
+    1. For N normal elementary abelian, N E0 is normal, elementary abelian
+       and of rank at least rank N, where E0 = Omega_1(Z(G)) holds the
+       central elements of order 1 or p.  So the maximum is reached above E0.
+    2. A p-group acting on the F_p-space N/E0 fixes a hyperplane, so every
+       normal elementary abelian N > E0 holds a normal one of index p that
+       still contains E0.
+
+    So the levels start at {E0}, and S grows to S<z> for z of order p that
+    commutes with S and has [z, g] in S for every generator g, which is
+    exactly when S<z> is normal (zS is central in G/S).  The answer is the
+    rank of the last nonempty level.
     """
     _require_prime(p)
     if not _is_p_power(G.order, p):
         raise GroupError(f"normal rank needs a {p}-group, got order {G.order}")
-    if G.order == 1:
-        return 0
-    if G.is_abelian:
-        fixed = sum(1 for g in range(G.order) if int(G.element_order[g]) in (1, p))
-        k = 0
-        while p**k < fixed:
-            k += 1
-        return k
-    p_elems = [g for g in range(1, G.order) if int(G.element_order[g]) == p]
-    best = 0
-    level: set[frozenset[int]] = {
-        frozenset(G.cyclic_span(x)) for x in p_elems
-    }
-    seen = set(level)
-    k = 1
-    while level:
-        if any(_is_normal_set(G, S) for S in level):
-            best = k
+    T, inv, gens = G.table, G.inverse, np.array(G.generators, dtype=np.int64)
+    order_p = np.flatnonzero(G.element_order == p)
+    level = {frozenset(np.flatnonzero((T == T.T).all(axis=1) & (p % G.element_order == 0)).tolist())}
+    while True:
         nxt: set[frozenset[int]] = set()
         for S in level:
-            for z in p_elems:
-                if z in S:
-                    continue
-                if all(G.table[z, s] == G.table[s, z] for s in S):
-                    zspan = G.cyclic_span(z)
-                    bigger = frozenset(
-                        int(G.table[s, t]) for s in S for t in zspan
-                    )
-                    if bigger not in seen:
-                        seen.add(bigger)
-                        nxt.add(bigger)
+            arr = np.fromiter(S, dtype=np.int64)
+            done = np.zeros(G.order, dtype=bool)
+            done[arr] = True
+            inS = done.copy()
+            zs = order_p[~inS[order_p]]
+            zs = zs[(T[np.ix_(zs, arr)] == T[np.ix_(arr, zs)].T).all(axis=1)]
+            comm = T[T[T[zs[:, None], gens], inv[zs][:, None]], inv[gens]]
+            for z in zs[inS[comm].all(axis=1)].tolist():
+                if not done[z]:  # else S<z> is already in nxt
+                    grown = T[arr[:, None], sorted(G.cyclic_span(z))].ravel()
+                    done[grown] = True
+                    nxt.add(frozenset(grown.tolist()))
+        if not nxt:
+            return round(log(len(next(iter(level))), p))
         level = nxt
-        k += 1
-    return best
 
 
 def _is_normal_set(G: GroupTable, elems: Iterable[int]) -> bool:

@@ -1,9 +1,13 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
 from itertools import combinations, permutations, product
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,6 +570,101 @@ def test_normal_rank_nonabelian_matches_subgroup_scan():
                             rank += 1
                         best = max(best, rank)
         assert gr.normal_rank(G, 3) == best
+
+
+def normal_rank_by_walk(G, p):
+    """Every elementary abelian subgroup, level by level from the order-p
+    ones, each grown by a commuting element of order p; the rank of the
+    last level that holds a normal one, by conjugation with every element."""
+    T = G.table.tolist()
+    p_elems = [g for g in range(1, G.order) if G.element_order[g] == p]
+    level = {G.cyclic_span(x) for x in p_elems}
+    seen = set(level)
+    best, k = 0, 1
+    while level:
+        if any(normal_by_every_element(G, sorted(S)) for S in level):
+            best = k
+        nxt = set()
+        for S in level:
+            for z in p_elems:
+                if z not in S and all(T[z][s] == T[s][z] for s in S):
+                    bigger = frozenset(T[s][t] for s in S for t in G.cyclic_span(z))
+                    if bigger not in seen:
+                        seen.add(bigger)
+                        nxt.add(bigger)
+        level = nxt
+        k += 1
+    return best
+
+
+def d8_times_z2(k):
+    """Dihedral group of order 8 times k copies of Z2."""
+    return gr._product_table([gr._metacyclic_table(4, 2, 3)] + [gr._cyclic_table(2)] * k)
+
+
+def extraspecial_table(k):
+    """The extraspecial group 2^(1+2k) on pairs (v, c), v in F_2^(2k) and c in
+    F_2, at index 2v + c, with (v, c)(w, d) = (v + w, c + d + b(v, w)) for
+    b(v, w) = v_1 w_2 + v_3 w_4 + ...  Commutators give the non-degenerate
+    form b(v, w) + b(w, v), so the centre is {(0, 0), (0, 1)}."""
+    V = np.arange(4**k)
+    bits = (V[:, None] >> np.arange(2 * k)) & 1
+    b = (bits[:, None, 0::2] * bits[None, :, 1::2]).sum(axis=-1) % 2
+    T = np.zeros((2 * 4**k,) * 2, dtype=np.int64)
+    for c, d in product((0, 1), repeat=2):
+        T[c::2, d::2] = (V[:, None] ^ V[None, :]) * 2 + (c + d + b) % 2
+    return T
+
+
+def test_normal_rank_matches_the_walk_on_the_oracle_groups():
+    for G in oracle_groups():
+        primes = gr.prime_divisors(G.order) or [2]
+        if len(primes) > 1:
+            with pytest.raises(gr.GroupError):
+                gr.normal_rank(G, primes[0])
+        else:
+            assert gr.normal_rank(G, primes[0]) == normal_rank_by_walk(G, primes[0]), G.name
+
+
+@pytest.mark.parametrize(
+    "table, p, rank",
+    [
+        # holds Z2xZ2, but no such subgroup is normal
+        (gr._metacyclic_table(8, 2, 7), 2, 1),
+        (d8_times_z2(0), 2, 2),
+        (d8_times_z2(1), 2, 3),
+        (d8_times_z2(2), 2, 4),
+        (d8_times_z2(3), 2, 5),
+        (extraspecial_table(2), 2, 3),
+        (gr.build_standard("Z3xU33").table, 3, 3),
+        (gr.build_standard("Z9xU33").table, 3, 3),
+        (gr.build_standard("U33xZ3xZ3").table, 3, 4),
+        (gr.build_standard("Z9semiZ3xZ3xZ3").table, 3, 4),
+    ],
+    ids=["D16", "D8", "D8xZ2", "D8xZ2^2", "D8xZ2^3", "2^1+4", "Z3xU33", "Z9xU33", "U33xZ3xZ3", "Z9semiZ3xZ3xZ3"],
+)
+def test_normal_rank_matches_the_walk(table, p, rank):
+    G = gr.GroupTable(table)
+    assert gr.normal_rank(G, p) == normal_rank_by_walk(G, p) == rank
+
+
+@pytest.mark.parametrize(
+    "k, build, rank", [(6, d8_times_z2, 8), (4, extraspecial_table, 5)], ids=["D8xZ2^6", "2^1+8"]
+)
+def test_group_analyze_finds_the_normal_rank_of_order_512_in_time(k, build, rank, tmp_path):
+    # the walk over every elementary abelian subgroup ran for minutes on
+    # these; the timeout turns such a regression into a failure
+    path = tmp_path / "g.grp"
+    with open(path, "w", encoding="utf-8") as fh:
+        gr.write_group_file(gr.GroupTable(build(k)), fh)
+    env = dict(os.environ, PYTHONPATH=str(Path(gr.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcurv13", "group", "analyze", "--in", str(path), "--json"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["order"], data["normal_rank"]) == (512, rank)
 
 
 def normal_by_every_element(G, elems):
