@@ -182,9 +182,15 @@ def cmd_fixedpoint_gysin(args) -> int:
     if args.fixed == "empty":
         bF = None
     else:
-        parts = [_parse_space(s.strip()) for s in args.fixed.split(",") if s.strip()]
+        labels = [s.strip() for s in args.fixed.split(",") if s.strip()]
+        parts = [_parse_space(s) for s in labels]
         acc = [0] * (dim + 1)
-        for b in parts:
+        for label, b in zip(labels, parts):
+            if len(b) > len(acc):
+                raise ValueError(
+                    f"fixed component {label!r} has dimension {len(b) - 1},"
+                    f" above the dimension {dim} of {args.space!r}"
+                )
             for i, x in enumerate(b):
                 acc[i] += x
         bF = tuple(acc)

@@ -313,6 +313,10 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
             "unknown space 'K3'; choose from ['CP1xS3', 'CP2', 'S1', 'S3', 'S5', 'S7']",
         ),
         (
+            "fixedpoint gysin --space S5 --fixed S7",
+            "fixed component 'S7' has dimension 7, above the dimension 5 of 'S5'",
+        ),
+        (
             "fixedpoint obstruct --group xx:3 --lef 1",
             "bad --group (want cd:D or zpxzp:P): kind must be 'cd' or 'zpxzp'",
         ),
