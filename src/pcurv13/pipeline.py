@@ -213,7 +213,7 @@ def _small_normal_quotient_index(name: str) -> int:
     for g in range(1, G.order):
         if int(G.element_order[g]) != 3:
             continue
-        H = groups.SubgroupHandle(G, tuple(sorted(G.cyclic_span(g))))
+        H = groups.closure(G, (g,))
         if H.is_normal and groups.is_maximal_cyclic(H):
             return G.order // H.order
     raise groups.GroupError(f"no maximal-cyclic normal order-3 subgroup in {name}")
