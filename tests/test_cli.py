@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,3 +331,19 @@ def test_invalid_input_exits_2_with_one_error_line(argv, line, tmp_path, capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {line.format(tmp=tmp_path)}\n"
+
+
+def _readme_commands():
+    """The `pcurv13 ...` lines of the README's command-line block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("pcurv13 ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands
+    for line in commands:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

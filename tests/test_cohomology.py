@@ -1,7 +1,8 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcurv13 import cohomology as ch
@@ -94,12 +95,11 @@ def test_solutions_pass_independent_oracle():
         sols = ch.smith_gysin_solve(bX, bF or None, dim)
         for s in sols:
             assert exactness_oracle(bX, bF, dim, s.R), (bX, bF, s.R)
-        # the solver finds everything the oracle accepts (within the cap)
+        # the solver finds everything the oracle accepts, in a box two
+        # past the total Betti number in every entry
         budget = sum(bX) + sum(bF)
         found = {s.R for s in sols}
-        import itertools
-
-        for R in itertools.product(range(budget + 1), repeat=dim):
+        for R in itertools.product(range(budget + 3), repeat=dim):
             assert (R in found) == exactness_oracle(bX, bF, dim, R)
 
 
@@ -114,6 +114,23 @@ def test_fiberless_solutions_force_zero_euler(bX):
         assert sols == []
     for s in sols:
         assert exactness_oracle(bX, (), dim, s.R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=4),
+    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=4),
+)
+def test_solutions_with_fixed_set_match_oracle(bX, bF):
+    bF = bF[: len(bX)]
+    if not any(bF):
+        bF[0] = 1
+    dim = len(bX) - 1
+    found = [s.R for s in ch.smith_gysin_solve(bX, bF, dim)]
+    assert found == sorted(set(found))
+    box = range(sum(bX) + sum(bF) + 3)
+    accepted = [R for R in itertools.product(box, repeat=dim) if exactness_oracle(bX, bF, dim, R)]
+    assert found == accepted
 
 
 # --- trace sets ----------------------------------------------------------
@@ -233,6 +250,32 @@ def test_profile_census_never_two_even_generator_components():
                 b = ch.COMPONENT_BETTI[c]
                 assert b[0] == 1 and b[1] == 0
                 assert all(b[i] == b[len(b) - 1 - i] for i in range(len(b)))
+
+
+def census_oracle(budget, dim):
+    """Multisets of admissible types (b0 = 1, b1 = 0, duality) of the given
+    dimension, at most one CP1xS3, total Betti number within the budget,
+    sorted by the count vector over the vocabulary read backwards."""
+    vocab = list(ch.COMPONENT_BETTI)
+    admissible = [
+        t
+        for t, b in ch.COMPONENT_BETTI.items()
+        if len(b) - 1 == dim and b[0] == 1 and b[1] == 0 and b == b[::-1]
+    ]
+    out = []
+    for k in range(1, budget + 1):
+        for combo in itertools.combinations_with_replacement(admissible, k):
+            cost = sum(sum(ch.COMPONENT_BETTI[t]) for t in combo)
+            if combo.count("CP1xS3") <= 1 and cost <= budget:
+                out.append(tuple(sorted(combo, key=vocab.index)))
+    return sorted(out, key=lambda c: tuple(c.count(t) for t in reversed(vocab)))
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 9])
+def test_profile_census_matches_multiset_oracle(dim):
+    for budget in range(2, 31):
+        got = [p.components for p in ch.enumerate_profiles(budget, dim)]
+        assert got == census_oracle(budget, dim), (budget, dim)
 
 
 def test_profile_census_validation():
