@@ -18,7 +18,6 @@ from .bazaikin import (
     mod_p_betti,
 )
 from .cohomology import (
-    BettiVector,
     FixedPointProfile,
     LefschetzSpec,
     QuotientIndex,

@@ -1,14 +1,15 @@
 """Rational Betti-vector calculus for circle actions.
 
 Covers the alternating-sum bookkeeping used throughout the case analysis:
-Euler characteristics, exhaustive rank-solving of the Smith-Gysin long
-exact sequence, integer trace sets of finite-order automorphisms in small
-dimension, the quotient-index divisibility obstruction, Borel codimension
-feasibility, the census of five-dimensional fixed-point profiles, and the
-totally-geodesic intersection constraint.
+Euler characteristics, the Smith-Gysin long exact sequence solved over the
+intervals exactness leaves each quotient rank, integer trace sets of
+finite-order automorphisms in small dimension, the quotient-index
+divisibility obstruction, Borel codimension feasibility, the census of
+five-dimensional fixed-point profiles, and the totally-geodesic
+intersection constraint.
 
-Everything is a pure function; returned lists are deterministically
-ordered.
+Betti vectors are plain integer sequences.  Everything is a pure function;
+returned lists are deterministically ordered.
 """
 
 from __future__ import annotations
@@ -18,37 +19,15 @@ from itertools import product
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class BettiVector:
-    """Nonnegative dimensions indexed by degree 0..top."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d < 0 for d in self.dims):
-            raise ValueError("Betti numbers are nonnegative")
-
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.dims)
-
-    def __getitem__(self, i: int) -> int:
-        return self.dims[i] if 0 <= i < len(self.dims) else 0
-
-    def __iter__(self):
-        return iter(self.dims)
+def _betti(b: Sequence[int]) -> tuple[int, ...]:
+    dims = tuple(int(x) for x in b)
+    if any(d < 0 for d in dims):
+        raise ValueError("Betti numbers are nonnegative")
+    return dims
 
 
-def as_betti(b: BettiVector | Sequence[int]) -> BettiVector:
-    return b if isinstance(b, BettiVector) else BettiVector(tuple(int(x) for x in b))
-
-
-def euler_char(b: BettiVector | Sequence[int]) -> int:
-    return sum((-1) ** i * d for i, d in enumerate(as_betti(b).dims))
+def euler_char(b: Sequence[int]) -> int:
+    return sum((-1) ** i * d for i, d in enumerate(_betti(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -73,49 +52,41 @@ class ExactSolution:
 
 
 def smith_gysin_solve(
-    bX: BettiVector | Sequence[int],
-    bF: BettiVector | Sequence[int] | None,
-    dim_x: int | None = None,
+    bX: Sequence[int], bF: Sequence[int] | None, dim_x: int | None = None
 ) -> list[ExactSolution]:
     """All exactness-consistent R-vectors, in lexicographic order.
 
-    R^i vanishes for i >= dim_x (the quotient has lower dimension) and a
-    per-entry cap of total(bX) + total(bF) bounds the search.  The empty
-    list means no circle action is consistent; with empty F this happens
-    exactly when the Euler characteristic of X is nonzero.
+    R^i vanishes for i >= dim_x (the quotient has lower dimension).  With r
+    the rank entering R^i, exactness at R^i and H^i(X) gives r <= R^i <=
+    r + b_i(X), and R^{dim_x} = 0 forces r = 0 at the end; a depth-first
+    walk over these intervals in increasing order is lexicographic.  The
+    empty list means no circle action is consistent; with empty F this
+    happens exactly when the Euler characteristic of X is nonzero.
     """
-    x = as_betti(bX)
-    f = as_betti(bF) if bF is not None and len(tuple(bF)) else BettiVector((0,))
-    n = dim_x if dim_x is not None else x.top
+    x = _betti(bX)
+    f = _betti(bF) if bF is not None else ()
+    n = dim_x if dim_x is not None else len(x) - 1
     if n < 1:
         raise ValueError("dim_x must be at least 1")
-    budget = x.total + f.total
-    sols: list[tuple[int, ...]] = []
+    x += (0,) * (n + 1 - len(x))
+    f += (0,) * (n + 1 - len(f))
+    sols: list[ExactSolution] = []
 
-    def advance(rank_in: int, dims: Iterable[int]) -> int | None:
-        r = rank_in
-        for d in dims:
-            r = d - r
-            if r < 0:
-                return None
-        return r
-
-    def rec(i: int, R: list[int], rank_in: int) -> None:
+    def rec(i: int, R: tuple[int, ...], rank_in: int) -> None:
         if i == n:
-            r = advance(rank_in, (0, x[n], R[n - 1] + f[n]))
-            if r == 0:
-                sols.append(tuple(R))
+            if rank_in == 0 and R[n - 1] + f[n] == x[n]:
+                sols.append(ExactSolution(R))
             return
         prev = R[i - 1] if i >= 1 else 0
-        for ri in range(budget + 1):
-            r = advance(rank_in, (ri, x[i], prev + f[i]))
-            if r is not None:
-                R.append(ri)
-                rec(i + 1, R, r)
-                R.pop()
+        for ri in range(rank_in, rank_in + x[i] + 1):
+            # R^i -> H^i(X) has rank ri - rank_in; the rest of H^i(X) maps
+            # into R^{i-1} (+) H^i(F), and what that leaves enters R^{i+1}
+            rank_out = prev + f[i] - (x[i] - (ri - rank_in))
+            if rank_out >= 0:
+                rec(i + 1, R + (ri,), rank_out)
 
-    rec(0, [], 0)
-    return [ExactSolution(R) for R in sorted(sols)]
+    rec(0, (), 0)
+    return sols
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +156,6 @@ class QuotientIndex:
         if self.value < 1:
             raise ValueError("index must be positive")
 
-    @property
-    def divisor(self) -> int:
-        return self.value
-
     @classmethod
     def parse(cls, text: str) -> "QuotientIndex":
         kind, _, val = text.partition(":")
@@ -206,8 +173,7 @@ def divisibility_obstruction(
 ) -> Obstruction:
     """The quotient index must divide an achievable Lefschetz number; the
     scenario is excluded when it divides none of them."""
-    d = group.divisor
-    surviving = frozenset(v for v in lef_values if v % d == 0)
+    surviving = frozenset(v for v in lef_values if v % group.value == 0)
     return Obstruction(excluded=not surviving, surviving=surviving)
 
 
@@ -233,7 +199,7 @@ def borel_feasible(codim_total: int, circle_codims: Iterable[int]) -> bool:
 # fixed-point profiles
 
 # closed vocabulary of rational cohomology types; extend only in code so
-# the duality checks stay exact
+# the admissibility below stays exact
 COMPONENT_BETTI: dict[str, tuple[int, ...]] = {
     "S1": (1, 1),
     "S3": (1, 0, 0, 1),
@@ -244,13 +210,14 @@ COMPONENT_BETTI: dict[str, tuple[int, ...]] = {
 }
 _TYPE_ORDER = tuple(COMPONENT_BETTI)
 
+# types a fixed component may have: connected, b1 = 0, Poincare duality
+_ADMISSIBLE = frozenset(
+    t for t, b in COMPONENT_BETTI.items() if b[:2] == (1, 0) and b == b[::-1]
+)
+
 
 def component_dim(label: str) -> int:
     return len(COMPONENT_BETTI[label]) - 1
-
-
-def _satisfies_duality(b: tuple[int, ...]) -> bool:
-    return all(b[i] == b[len(b) - 1 - i] for i in range(len(b)))
 
 
 @dataclass(frozen=True)
@@ -260,61 +227,56 @@ class FixedPointProfile:
     components: tuple[str, ...]
 
     def __post_init__(self):
-        comps = tuple(
-            sorted(self.components, key=lambda c: _TYPE_ORDER.index(c))
-        )
-        object.__setattr__(self, "components", comps)
-        for c in comps:
+        for c in self.components:
             if c not in COMPONENT_BETTI:
                 raise ValueError(f"unknown component type {c!r}")
-            b = COMPONENT_BETTI[c]
-            if b[0] != 1 or (len(b) > 1 and b[1] != 0):
+            if c not in _ADMISSIBLE:
                 raise ValueError(f"component {c} violates b0=1, b1=0")
-            if not _satisfies_duality(b):
-                raise ValueError(f"component {c} violates duality")
+        comps = tuple(sorted(self.components, key=_TYPE_ORDER.index))
+        object.__setattr__(self, "components", comps)
 
     @property
     def total_betti(self) -> int:
         return sum(sum(COMPONENT_BETTI[c]) for c in self.components)
 
     def count(self, label: str) -> int:
-        return sum(1 for c in self.components if c == label)
+        return self.components.count(label)
 
 
 def enumerate_profiles(
     total_betti_budget: int, component_dim_wanted: int
 ) -> list[FixedPointProfile]:
-    """All multisets of components of the given odd dimension fitting the
-    Betti budget, with at most one even-degree-generator type (a second
-    copy would exceed the generator bound of the equivariant Betti-sum
-    theorem).  Deterministic order."""
+    """All multisets of admissible components of the given odd dimension
+    fitting the Betti budget, with at most one even-degree-generator type
+    (a second copy would exceed the generator bound of the equivariant
+    Betti-sum theorem).  Ordered by the component counts read over the
+    vocabulary backwards, which is the order the walk below meets them.
+    """
     if total_betti_budget < 2:
         raise ValueError("budget must be at least 2")
     if component_dim_wanted % 2 == 0:
         raise ValueError("component dimension must be odd")
+    if component_dim_wanted < 1:
+        raise ValueError("component dimension must be at least 1")
     types = [
-        t for t in _TYPE_ORDER if component_dim(t) == component_dim_wanted
+        t
+        for t in reversed(_TYPE_ORDER)
+        if t in _ADMISSIBLE and component_dim(t) == component_dim_wanted
     ]
-    if not types:
-        return []
     costs = {t: sum(COMPONENT_BETTI[t]) for t in types}
-    max_counts = {
-        t: (1 if t == "CP1xS3" else total_betti_budget // costs[t]) for t in types
-    }
+    ranges = [
+        range((1 if t == "CP1xS3" else total_betti_budget // costs[t]) + 1)
+        for t in types
+    ]
     out = []
-    ranges = [range(max_counts[t] + 1) for t in types]
     for counts in product(*ranges):
         total = sum(c * costs[t] for c, t in zip(counts, types))
-        ncomp = sum(counts)
-        if ncomp == 0 or total > total_betti_budget:
+        if sum(counts) == 0 or total > total_betti_budget:
             continue
         comps = tuple(
             t for t, c in zip(types, counts) for _ in range(c)
         )
         out.append(FixedPointProfile(comps))
-    # censored-last ordering: count vectors over reversed type order
-    rev = list(reversed(types))
-    out.sort(key=lambda pr: tuple(pr.count(t) for t in rev))
     return out
 
 
@@ -325,11 +287,9 @@ def frankel_compatible(component_dims: Iterable[int], ambient_dim: int) -> bool:
     return not (len(dims) >= 2 and dims[0] + dims[1] >= ambient_dim)
 
 
-def allday_bound_check(
-    bM: BettiVector | Sequence[int], bF: BettiVector | Sequence[int]
-) -> bool:
+def allday_bound_check(bM: Sequence[int], bF: Sequence[int]) -> bool:
     """Total Betti number of the fixed set at most that of the ambient."""
-    return as_betti(bF).total <= as_betti(bM).total
+    return sum(_betti(bF)) <= sum(_betti(bM))
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +303,12 @@ def mod_p_component_census(per_component_budget: int) -> list[tuple[str, tuple[i
     Duality forces (1, b1, b2, b2, b1, 1); vanishing first integral Betti
     number plus universal coefficients forces b2 >= b1 (degree-2 torsion
     shows up in both degrees 1 and 2), which rules out the circle-times-
-    4-sphere pattern.  Labels name the minimal models.
+    4-sphere pattern.  The total 2 + 2 b1 + 2 b2 within the budget bounds
+    b2 above.  Labels name the minimal models.
     """
     out = []
     for b1 in range(per_component_budget + 1):
-        for b2 in range(per_component_budget + 1):
-            total = 2 + 2 * b1 + 2 * b2
-            if total > per_component_budget:
-                continue
-            if b1 > b2:
-                continue
+        for b2 in range(b1, (per_component_budget - 2) // 2 - b1 + 1):
             profile = (1, b1, b2, b2, b1, 1)
             if (b1, b2) == (0, 0):
                 out.append(("S5", profile))
@@ -363,11 +319,11 @@ def mod_p_component_census(per_component_budget: int) -> list[tuple[str, tuple[i
     return out
 
 
-def davis_parity(b: BettiVector | Sequence[int]) -> int:
+def davis_parity(b: Sequence[int]) -> int:
     """Alternating Betti sum over degrees 0..(d-1)/2 of a (4k+1)-manifold;
     oddness is the splitting hypothesis for free actions."""
-    bb = as_betti(b)
-    d = bb.top
+    bb = _betti(b)
+    d = len(bb) - 1
     if d % 4 != 1:
         raise ValueError("the parity criterion applies in dimensions 4k+1")
     half = (d - 1) // 2

@@ -153,6 +153,15 @@ def test_fixedpoint_profiles(capsys):
     ]
 
 
+def test_fixedpoint_profiles_of_circles_are_empty(capsys):
+    # S1 has b1 = 1, so no fixed component is a circle: the census is empty,
+    # as it is in dimension 9 where the vocabulary has no type at all
+    for dim in ("1", "9"):
+        code, out, err = run_cli(capsys, "fixedpoint", "profiles", "--dim", dim, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"profiles": []}
+
+
 def test_fixedpoint_gysin(capsys):
     code, out, _ = run_cli(capsys, "fixedpoint", "gysin", "--space", "S5", "--fixed", "empty")
     data = json.loads(out)
@@ -310,6 +319,7 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
             "cannot read group table: [Errno 2] No such file or directory: '{tmp}/missing.grp'",
         ),
         ("fixedpoint profiles --budget 1", "budget must be at least 2"),
+        ("fixedpoint profiles --dim -3", "component dimension must be at least 1"),
         (
             "fixedpoint gysin --space K3",
             "unknown space 'K3'; choose from ['CP1xS3', 'CP2', 'S1', 'S3', 'S5', 'S7']",

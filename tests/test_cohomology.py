@@ -200,7 +200,7 @@ def test_divisibility_zero_is_never_an_obstruction():
 
 def test_quotient_index_parsing():
     qi = ch.QuotientIndex.parse("cd:3")
-    assert qi.kind == "cd" and qi.divisor == 3
+    assert qi.kind == "cd" and qi.value == 3
     with pytest.raises(ValueError):
         ch.QuotientIndex.parse("weird:3")
 
@@ -271,7 +271,7 @@ def census_oracle(budget, dim):
     return sorted(out, key=lambda c: tuple(c.count(t) for t in reversed(vocab)))
 
 
-@pytest.mark.parametrize("dim", [3, 5, 7, 9])
+@pytest.mark.parametrize("dim", [1, 3, 5, 7, 9])
 def test_profile_census_matches_multiset_oracle(dim):
     for budget in range(2, 31):
         got = [p.components for p in ch.enumerate_profiles(budget, dim)]
@@ -283,8 +283,12 @@ def test_profile_census_validation():
         ch.enumerate_profiles(1, 5)
     with pytest.raises(ValueError):
         ch.enumerate_profiles(6, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="component dimension must be at least 1"):
+        ch.enumerate_profiles(6, -3)
+    with pytest.raises(ValueError, match="unknown component type 'X9'"):
         ch.FixedPointProfile(("S5", "X9"))
+    with pytest.raises(ValueError, match="component S1 violates b0=1, b1=0"):
+        ch.FixedPointProfile(("S5", "S1"))
 
 
 # --- geometric side conditions ----------------------------------------------
