@@ -279,6 +279,51 @@ def test_theorem_a_json_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of whole outputs of the other subcommands, computed before the
+# wrapper types of `bazaikin` and `cohomology` gave way to plain values
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "bazaikin enumerate --bound 19 --format json",
+            "3f09cc7053c5cd4e56f1988815ea7ecc42234753ccdf8384e1d862e6df35b002",
+        ),
+        (
+            "bazaikin enumerate --bound 19 --format tsv",
+            "89e5c3a71d997e5a9b2f07c68ea263fda6f6a6b09f0f7b178828cdfd90c5489f",
+        ),
+        (
+            "bazaikin check 1 1 1 1 1 --json",
+            "398d843a239cacbe97c391c95dcc068c2c7e8f5fd6ec855e9c54dc6191b527c6",
+        ),
+        (
+            "bazaikin check 5 3 3 1 1 --json",
+            "d0f683a7b7080c1c4bafa4efbe39fb7846477ee2640c1242043427d601fd1511",
+        ),
+        (
+            "bazaikin check -1 -1 -1 -1 -3 --json",
+            "bc66df059583b71452e8515706b25949eafeb82a6d12771d0d34b8b4f461dae5",
+        ),
+        (
+            "fixedpoint obstruct --group cd:3 --lef 1,4",
+            "d42f810a35367aa0fe73a879976d14a5f1c8e1bf717fe54b3acb918a222c3916",
+        ),
+        (
+            "fixedpoint obstruct --group cd:3 --lef 3",
+            "47319345ecbb144b90c965ce0d57135ce94322ed6e9643a25b23a56fbb70e9d7",
+        ),
+        (
+            "ss verify --p 3 --trace",
+            "4fb41933f75cea7c467b81166d37425ecdaa9fda4754596024ea0a044a298760",
+        ),
+    ],
+)
+def test_output_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of the whole `theorem-a --explain` output: it prints every step's
 # inputs and output repr and every note, so a refactor of the case engine
 # that changes any of them shows here

@@ -407,6 +407,20 @@ def test_sylow_cyclic_iff_element_of_full_p_power_order():
             assert gr.sylow(G, p).is_cyclic == expect
 
 
+def test_all_sylow_cyclic_matches_every_sylow_subgroup():
+    """Against building each Sylow subgroup and testing it for cyclicity,
+    on the oracle groups, the Burnside family to order 120 and some groups
+    with a non-cyclic Sylow subgroup."""
+    family = [gr.build_burnside(p) for p in gr.enumerate_burnside_params(120)]
+    others = [gr.build_standard(n) for n in ("Z3xZ3", "Z9xZ3", "Z5xZ3xZ3", "Z3xZ3xZ3")]
+    verdicts = []
+    for G in oracle_groups() + family + others:
+        expect = all(gr.sylow(G, p).is_cyclic for p in gr.prime_divisors(G.order))
+        assert gr.all_sylow_cyclic(G) == expect, G.name
+        verdicts.append(expect)
+    assert True in verdicts and False in verdicts
+
+
 def test_p2_condition():
     assert not gr.p2_condition(gr.build_standard("Z9semiZ3"), 3)
     assert gr.p2_condition(gr.build_standard("Z27"), 3)
