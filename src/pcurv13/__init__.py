@@ -7,7 +7,6 @@ from .bazaikin import (
     CohomologyProfile,
     Curvature,
     FreenessReport,
-    QTuple,
     canonicalize,
     check_curvature,
     check_free,
@@ -19,7 +18,6 @@ from .bazaikin import (
 )
 from .cohomology import (
     FixedPointProfile,
-    LefschetzSpec,
     QuotientIndex,
     allday_bound_check,
     borel_feasible,

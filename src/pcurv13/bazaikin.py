@@ -1,17 +1,18 @@
 """Bazaikin parameter tuples: admissibility, curvature sign, cohomology.
 
-A candidate space is parametrized by five integer weights.  The quotient
-construction is free iff all weights are odd and every gcd of disjoint
-pair-sums equals 2; it carries positive curvature iff all pair-sums are
-positive.  The degree-6/8 torsion order is the exact rational e3(q)/8,
-which is *not* always an integer for admissible tuples (e.g. (1,1,1,1,1)
-gives 10/8); we report it exactly with an integrality flag rather than
-guessing a correction.
+A candidate space is parametrized by five integer weights, given as any
+sequence of ints.  The quotient construction is free iff all weights are
+odd and every gcd of disjoint pair-sums equals 2; it carries positive
+curvature iff all pair-sums are positive.  The degree-6/8 torsion order
+is the exact rational e3(q)/8, which is *not* always an integer for
+admissible tuples (e.g. (1,1,1,1,1) gives 10/8); we report the Fraction
+itself rather than guessing a correction.
 
 The catalog walks only the positive-curvature cone: a nonincreasing tuple
 is positively curved iff q4 + q5 > 0, so at least four entries are
 positive and the descending tuple is already canonical.  Each candidate
-is met once, filtered by freeness, and gated on curvature.
+is met once, filtered by freeness, and gated on canonical form and
+curvature.
 
 All arithmetic is exact (ints and Fraction); no floats anywhere.
 """
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from typing import Sequence
 
 from .spectral import ProofGateError
 
@@ -45,37 +47,18 @@ class Curvature(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True, order=True)
-class QTuple:
-    """Five integer weights, stored canonically.
+def canonicalize(q: Sequence[int]) -> tuple[int, ...]:
+    """Canonical representative under permutations and a global sign flip.
 
-    Canonical form: entries sorted non-increasing, with the global sign
-    chosen so the majority of entries is positive (ties broken by taking
-    the lexicographically larger candidate).  Construct via ``of`` to
-    canonicalize arbitrary input.
+    Entries sorted non-increasing, with the global sign chosen so the
+    majority of entries is positive (ties broken by taking the
+    lexicographically larger candidate).
     """
-
-    q: tuple[int, int, int, int, int]
-
-    def __post_init__(self) -> None:
-        if len(self.q) != 5:
-            raise ValueError("a weight tuple has exactly five entries")
-        if self.q != _canonical_entries(self.q):
-            raise ValueError(f"{self.q} is not in canonical form; use QTuple.of")
-
-    @staticmethod
-    def of(*entries: int) -> "QTuple":
-        return QTuple(_canonical_entries(tuple(int(e) for e in entries)))
-
-    def __iter__(self):
-        return iter(self.q)
-
-
-def _canonical_entries(q: tuple[int, ...]) -> tuple[int, int, int, int, int]:
-    if len(q) != 5:
+    entries = tuple(int(e) for e in q)
+    if len(entries) != 5:
         raise ValueError("a weight tuple has exactly five entries")
-    plus = tuple(sorted(q, reverse=True))
-    minus = tuple(sorted((-x for x in q), reverse=True))
+    plus = tuple(sorted(entries, reverse=True))
+    minus = tuple(sorted((-x for x in entries), reverse=True))
     npos_plus = sum(1 for x in plus if x > 0)
     npos_minus = sum(1 for x in minus if x > 0)
     if npos_plus > npos_minus:
@@ -83,13 +66,6 @@ def _canonical_entries(q: tuple[int, ...]) -> tuple[int, int, int, int, int]:
     if npos_minus > npos_plus:
         return minus
     return max(plus, minus)
-
-
-def canonicalize(q: QTuple | tuple[int, ...]) -> QTuple:
-    """Canonical representative under permutations and a global sign flip."""
-    if isinstance(q, QTuple):
-        return q
-    return QTuple.of(*q)
 
 
 @dataclass(frozen=True)
@@ -103,14 +79,17 @@ class FreenessReport:
         return self.all_odd and not self.failing_pairs
 
 
-def check_free(q: QTuple | tuple[int, ...]) -> FreenessReport:
+def check_free(q: Sequence[int]) -> FreenessReport:
     """Freeness of the quotient action.
 
     The full symmetric-group quantification collapses to the 15 unordered
     pairs of disjoint index pairs; each gcd must be exactly 2.  Failing
     pairs are reported with 0-based indices into the canonical ordering.
     """
-    entries = tuple(canonicalize(q))
+    return _freeness(canonicalize(q))
+
+
+def _freeness(entries: tuple[int, ...]) -> FreenessReport:
     all_odd = all(x % 2 != 0 for x in entries)
     failing = []
     for (i, j), (k, l) in DISJOINT_PAIR_COMBINATIONS:
@@ -120,9 +99,9 @@ def check_free(q: QTuple | tuple[int, ...]) -> FreenessReport:
     return FreenessReport(all_odd=all_odd, failing_pairs=tuple(failing))
 
 
-def check_curvature(q: QTuple | tuple[int, ...]) -> Curvature:
+def check_curvature(q: Sequence[int]) -> Curvature:
     """Sign pattern of the pair-sums q_i + q_j over all i < j."""
-    entries = tuple(q) if not isinstance(q, QTuple) else tuple(q.q)
+    entries = tuple(q)
     sums = [entries[i] + entries[j] for i, j in combinations(range(5), 2)]
     if all(s > 0 for s in sums):
         return Curvature.POSITIVE_ALL
@@ -131,7 +110,7 @@ def check_curvature(q: QTuple | tuple[int, ...]) -> Curvature:
     return Curvature.MIXED
 
 
-def e3(q: QTuple | tuple[int, ...]) -> int:
+def e3(q: Sequence[int]) -> int:
     """Third elementary symmetric polynomial of the five weights."""
     entries = tuple(q)
     return sum(
@@ -139,17 +118,9 @@ def e3(q: QTuple | tuple[int, ...]) -> int:
     )
 
 
-@dataclass(frozen=True)
-class TorsionOrder:
-    """Exact value of e3(q)/8 with an integrality flag."""
-
-    value: Fraction
-    is_integral: bool
-
-
-def h6_order(q: QTuple | tuple[int, ...]) -> TorsionOrder:
-    m = Fraction(e3(q), 8)
-    return TorsionOrder(value=m, is_integral=(m.denominator == 1))
+def h6_order(q: Sequence[int]) -> Fraction:
+    """The signed torsion order m = e3(q)/8, exact and possibly not integral."""
+    return Fraction(e3(q), 8)
 
 
 @dataclass(frozen=True)
@@ -196,13 +167,12 @@ class CohomologyProfile:
         return tuple(self.free_rank(k) for k in range(self.TOP + 1))
 
 
-def integral_cohomology(q: QTuple | tuple[int, ...]) -> CohomologyProfile:
+def integral_cohomology(q: Sequence[int]) -> CohomologyProfile:
     """Cohomology profile of an admissible tuple; rejects non-free q."""
     report = check_free(q)
     if not report.verdict:
         raise ValueError(f"tuple {tuple(q)} is not free: {_free_failure(report)}")
-    m = h6_order(q).value
-    return CohomologyProfile(torsion_order=abs(m))
+    return CohomologyProfile(torsion_order=abs(h6_order(q)))
 
 
 def _free_failure(report: FreenessReport) -> str:
@@ -250,7 +220,7 @@ MOD3_CP2xS9 = "CP2xS9"
 MOD3_CP4xS5 = "CP4xS5"
 
 
-def mod3_type(q: QTuple | tuple[int, ...]) -> str:
+def mod3_type(q: Sequence[int]) -> str:
     """Mod-3 cohomology type: product-of-projective-plane-and-9-sphere when
     3 does not divide the torsion order, otherwise CP^4 x S^5.
 
@@ -260,7 +230,7 @@ def mod3_type(q: QTuple | tuple[int, ...]) -> str:
     return MOD3_CP4xS5 if e3(q) % 3 == 0 else MOD3_CP2xS9
 
 
-def enumerate_spaces(bound: int) -> list[QTuple]:
+def enumerate_spaces(bound: int) -> list[tuple[int, ...]]:
     """All canonical admissible tuples with max|q_i| <= bound and positive
     curvature; sorted lexicographically, duplicate-free.
 
@@ -269,9 +239,9 @@ def enumerate_spaces(bound: int) -> list[QTuple]:
     at most q5 is <= 0, the majority is positive, and the descending tuple
     is already canonical.  The candidates are four positive odd entries,
     nonincreasing, and an odd q5 with -q4 < q5 <= q4 (3289 at bound 19, of
-    42504 odd multisets), each met once.  ``QTuple`` still verifies the
-    canonical form, freeness filters, and a returned tuple that is not
-    positively curved raises ``ProofGateError``.
+    42504 odd multisets), each met once.  Freeness filters them as built;
+    a returned tuple that is not canonical or not positively curved
+    raises ``ProofGateError``.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -279,10 +249,12 @@ def enumerate_spaces(bound: int) -> list[QTuple]:
     spaces = []
     for q1, q2, q3, q4 in combinations_with_replacement(positive_odd, 4):
         for q5 in range(q4, -q4, -2):
-            q = QTuple((q1, q2, q3, q4, q5))
-            if not check_free(q).verdict:
+            q = (q1, q2, q3, q4, q5)
+            if not _freeness(q).verdict:
                 continue
+            if q != canonicalize(q):
+                raise ProofGateError(f"enumerated tuple {q} is not canonical")
             if check_curvature(q) is not Curvature.POSITIVE_ALL:
-                raise ProofGateError(f"enumerated tuple {q.q} is not positively curved")
+                raise ProofGateError(f"enumerated tuple {q} is not positively curved")
             spaces.append(q)
     return sorted(spaces)

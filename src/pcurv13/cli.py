@@ -10,6 +10,7 @@ full case engine).  Exit code 0 on success, 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ def _emit(data) -> None:
 # bazaikin
 
 
-def _bazaikin_check_payload(q: bazaikin.QTuple) -> dict:
+def _bazaikin_check_payload(q: tuple[int, ...]) -> dict:
     report = bazaikin.check_free(q)
     curv = bazaikin.check_curvature(q)
     e3 = bazaikin.e3(q)
@@ -41,13 +42,13 @@ def _bazaikin_check_payload(q: bazaikin.QTuple) -> dict:
         "curvature": curv.value,
         "e3": e3,
         "m": f"{e3}/8",
-        "m_integral": m.is_integral,
+        "m_integral": m.denominator == 1,
         "mod3_type": bazaikin.mod3_type(q),
     }
 
 
 def cmd_bazaikin_check(args) -> int:
-    q = bazaikin.QTuple.of(*args.q)
+    q = bazaikin.canonicalize(args.q)
     payload = _bazaikin_check_payload(q)
     if args.json:
         _emit(payload)
@@ -216,13 +217,13 @@ def cmd_fixedpoint_obstruct(args) -> int:
         lef = [int(x) for x in args.lef.split(",") if x.strip()]
     except ValueError:
         raise ValueError("--lef wants a comma-separated integer list")
-    res = cohomology.divisibility_obstruction(group, lef)
+    surviving = cohomology.divisibility_obstruction(group, lef)
     _emit(
         {
             "group": {"kind": group.kind, "value": group.value},
             "lef_values": lef,
-            "excluded": res.excluded,
-            "surviving": sorted(res.surviving),
+            "excluded": not surviving,
+            "surviving": sorted(surviving),
         }
     )
     return 0
@@ -250,13 +251,7 @@ def cmd_ss_verify(args) -> int:
                 f"survivors for the minimizing choice; the sweep reports "
                 f"{report.min_deg6_survivors}"
             )
-        payload["minimizing_choice"] = {
-            "a": list(report.minimizing_choice.a),
-            "d3y": list(report.minimizing_choice.d3y),
-            "d4x": _opt(report.minimizing_choice.d4x),
-            "d4xy": _opt(report.minimizing_choice.d4xy),
-            "d6xy": _opt(report.minimizing_choice.d6xy),
-        }
+        payload["minimizing_choice"] = dataclasses.asdict(report.minimizing_choice)
         payload["pages"] = [
             {
                 "r": pg.r if pg.r is not None else "inf",
@@ -280,10 +275,6 @@ def cmd_ss_verify(args) -> int:
         }
     _emit(payload)
     return 0
-
-
-def _opt(v):
-    return None if v is None else list(v)
 
 
 def cmd_theorem_a(args) -> int:

@@ -8,8 +8,9 @@ divisibility obstruction, Borel codimension feasibility, the census of
 five-dimensional fixed-point profiles, and the totally-geodesic
 intersection constraint.
 
-Betti vectors are plain integer sequences.  Everything is a pure function;
-returned lists are deterministically ordered.
+Betti vectors and trace dimensions are plain integer sequences; the
+obstruction is the set of surviving Lefschetz numbers, empty when excluded.
+Everything is a pure function; returned lists are deterministically ordered.
 """
 
 from __future__ import annotations
@@ -112,28 +113,20 @@ def integer_trace_set(k: int, odd_order_only: bool) -> frozenset[int]:
     return frozenset({-2, -1, 0, 1, 2})
 
 
-@dataclass(frozen=True)
-class LefschetzSpec:
-    """Per-degree dimensions of the (relative) cohomology acted on, plus
-    the parity restriction on the acting element's order."""
-
-    dims: tuple[int, ...]
-    odd_order: bool = True
-
-
-def lefschetz_value_set(spec: LefschetzSpec) -> frozenset[int]:
-    """All alternating trace sums consistent with the dimensions and parity.
+def lefschetz_value_set(dims: Sequence[int], odd_order: bool = True) -> frozenset[int]:
+    """All alternating trace sums on (relative) cohomology of the given
+    per-degree dimensions, for elements of odd order if ``odd_order``.
 
     Rejects any degree of dimension > 2: the eigenvalue analysis is only
     carried out there, larger blocks are out of scope by design.
     """
-    if any(d > 2 for d in spec.dims):
+    if any(d > 2 for d in dims):
         raise ValueError("per-degree dimensions above 2 are not supported")
-    if any(d < 0 for d in spec.dims):
+    if any(d < 0 for d in dims):
         raise ValueError("dimensions are nonnegative")
     per_degree = [
-        [(-1) ** i * t for t in sorted(integer_trace_set(d, spec.odd_order))]
-        for i, d in enumerate(spec.dims)
+        [(-1) ** i * t for t in sorted(integer_trace_set(d, odd_order))]
+        for i, d in enumerate(dims)
     ]
     return frozenset(sum(combo) for combo in product(*per_degree))
 
@@ -162,19 +155,12 @@ class QuotientIndex:
         return cls(kind.strip().lower(), int(val))
 
 
-@dataclass(frozen=True)
-class Obstruction:
-    excluded: bool
-    surviving: frozenset[int]
-
-
 def divisibility_obstruction(
     group: QuotientIndex, lef_values: Iterable[int]
-) -> Obstruction:
-    """The quotient index must divide an achievable Lefschetz number; the
-    scenario is excluded when it divides none of them."""
-    surviving = frozenset(v for v in lef_values if v % group.value == 0)
-    return Obstruction(excluded=not surviving, surviving=surviving)
+) -> frozenset[int]:
+    """The achievable Lefschetz numbers the quotient index divides; the
+    scenario is excluded when this set is empty."""
+    return frozenset(v for v in lef_values if v % group.value == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +201,8 @@ _ADMISSIBLE = frozenset(
     t for t, b in COMPONENT_BETTI.items() if b[:2] == (1, 0) and b == b[::-1]
 )
 
+MAX_PROFILE_BUDGET = 1000
+
 
 def component_dim(label: str) -> int:
     return len(COMPONENT_BETTI[label]) - 1
@@ -254,6 +242,10 @@ def enumerate_profiles(
     """
     if total_betti_budget < 2:
         raise ValueError("budget must be at least 2")
+    # the census has about budget**2 / 8 components in dimension 5: a far
+    # larger budget would run for hours instead of failing fast
+    if total_betti_budget > MAX_PROFILE_BUDGET:
+        raise ValueError(f"budget must be at most {MAX_PROFILE_BUDGET}")
     if component_dim_wanted % 2 == 0:
         raise ValueError("component dimension must be odd")
     if component_dim_wanted < 1:
@@ -273,9 +265,7 @@ def enumerate_profiles(
         total = sum(c * costs[t] for c, t in zip(counts, types))
         if sum(counts) == 0 or total > total_betti_budget:
             continue
-        comps = tuple(
-            t for t, c in zip(types, counts) for _ in range(c)
-        )
+        comps = tuple(t for t, c in zip(types, counts) for _ in range(c))
         out.append(FixedPointProfile(comps))
     return out
 

@@ -517,7 +517,10 @@ def prime_divisors(n: int) -> list[int]:
 
 
 def all_sylow_cyclic(G: GroupTable) -> bool:
-    return all(sylow(G, p).is_cyclic for p in prime_divisors(G.order))
+    """Every Sylow subgroup is cyclic: a Sylow p-subgroup of order p^a is
+    cyclic iff some element has order p^a, iff the p-part of the exponent
+    is p^a; so all are iff the exponent equals the order."""
+    return G.exponent == G.order
 
 
 def p2_condition(G: GroupTable, p: int) -> bool:

@@ -164,18 +164,14 @@ def _smith_gysin(betti_x: list[int], dim: int) -> dict:
 
 
 def _lefschetz_values(dims: list[int], odd_order: bool) -> list[int]:
-    return sorted(
-        cohomology.lefschetz_value_set(
-            cohomology.LefschetzSpec(tuple(dims), odd_order)
-        )
-    )
+    return sorted(cohomology.lefschetz_value_set(dims, odd_order))
 
 
 def _divisibility(kind: str, value: int, lef_values: list[int]) -> dict:
-    res = cohomology.divisibility_obstruction(
+    surviving = cohomology.divisibility_obstruction(
         cohomology.QuotientIndex(kind, value), lef_values
     )
-    return {"excluded": res.excluded, "surviving": sorted(res.surviving)}
+    return {"excluded": not surviving, "surviving": sorted(surviving)}
 
 
 def _odd_divisor_candidates(values: list[int]) -> list[int]:
@@ -185,10 +181,7 @@ def _odd_divisor_candidates(values: list[int]) -> list[int]:
     for d in range(1, max(abs(v) for v in values) + 1):
         if d % 2 == 0:
             continue
-        res = cohomology.divisibility_obstruction(
-            cohomology.QuotientIndex("cd", d), values
-        )
-        if not res.excluded:
+        if cohomology.divisibility_obstruction(cohomology.QuotientIndex("cd", d), values):
             out.append(d)
     return out
 

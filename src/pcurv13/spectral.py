@@ -178,18 +178,18 @@ class DifferentialChoice:
 
     ``a`` gives d2 on the degree-3 fiber generator (coefficients of
     t1*y, t2*y, s1s2*y); ``d3y`` lies in the degree-3 base span
-    (coordinates over s1t1, s1t2, s2t1, s2t2); ``d3x`` has an empty
-    target and must stay empty.  The later vectors are coordinates over
-    the current-page basis at the target spot and are admissible only
-    while the corresponding generator is alive: ``d4x`` needs the
-    degree-3 generator to survive d2, ``d4xy`` the degree-5 generator
-    alive at page 4, ``d6xy`` alive at page 6.  ``None`` is the zero
-    choice where one exists and "not applicable" where none does.
+    (coordinates over s1t1, s1t2, s2t1, s2t2); d3 on the degree-3
+    generator has an empty target, so no field holds it.  The later
+    vectors are coordinates over the current-page basis at the target
+    spot and are admissible only while the corresponding generator is
+    alive: ``d4x`` needs the degree-3 generator to survive d2, ``d4xy``
+    the degree-5 generator alive at page 4, ``d6xy`` alive at page 6.
+    ``None`` is the zero choice where one exists and "not applicable"
+    where none does.
     """
 
     a: tuple[int, int, int]
     d3y: tuple[int, int, int, int] = (0, 0, 0, 0)
-    d3x: tuple[int, ...] = ()
     d4x: Optional[tuple[int, ...]] = None
     d4xy: Optional[tuple[int, ...]] = None
     d6xy: Optional[tuple[int, ...]] = None
@@ -387,8 +387,6 @@ class _Run:
     """Window state for one validated choice."""
 
     def __init__(self, p: int, choice: DifferentialChoice):
-        if choice.d3x:
-            raise ValueError("d3 on the degree-3 generator has empty target")
         fr = _Frame(p, choice.a, choice.d3y)
         self.frame = fr
         self.p = p

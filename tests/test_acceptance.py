@@ -219,7 +219,7 @@ def test_criterion_7_trace_sets():
             if abs(x - round(x)) < 1e-9:
                 sweep.add(round(x))
     assert ch.integer_trace_set(2, True) == frozenset(sweep)
-    assert ch.lefschetz_value_set(ch.LefschetzSpec((1, 0, 2, 0, 1), True)) == {1, 4}
+    assert ch.lefschetz_value_set((1, 0, 2, 0, 1), True) == {1, 4}
     _report(7, "trace set {-1, 2} matches the odd-n sweep; Lefschetz set {1, 4}")
 
 

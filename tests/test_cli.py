@@ -364,6 +364,7 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
             "cannot read group table: [Errno 2] No such file or directory: '{tmp}/missing.grp'",
         ),
         ("fixedpoint profiles --budget 1", "budget must be at least 2"),
+        ("fixedpoint profiles --budget 1001", "budget must be at most 1000"),
         ("fixedpoint profiles --dim -3", "component dimension must be at least 1"),
         (
             "fixedpoint gysin --space K3",

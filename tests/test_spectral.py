@@ -151,8 +151,6 @@ def test_inconsistent_choices_rejected():
                 d6xy=(0,) * 7,
             ),
         )
-    with pytest.raises(ValueError):
-        ss.run_choice(3, ss.DifferentialChoice(a=(0, 0, 0), d3x=(1,)))
 
 
 def _random_valid_choice(p, rng):
