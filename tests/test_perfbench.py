@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from pcurv13.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
