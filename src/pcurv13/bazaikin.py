@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .spectral import ProofGateError
+from .gates import ProofGateError
 
 IndexPair = tuple[int, int]
 
@@ -123,63 +123,10 @@ def h6_order(q: Sequence[int]) -> Fraction:
     return Fraction(e3(q), 8)
 
 
-@dataclass(frozen=True)
-class CohomologyProfile:
-    """Integral cohomology in degrees 0..13.
-
-    Free rank 1 in degrees 0,2,4,9,11,13; cyclic torsion of order |m| in
-    degrees 6 and 8 whenever |m| != 1 (nothing there when |m| = 1).  The
-    torsion order is kept as an exact Fraction because m = e3/8 need not
-    be integral for admissible weights; ``m_integral`` flags that case.
-    """
-
-    torsion_order: Fraction  # |m|, nonnegative
-
-    FREE_DEGREES = (0, 2, 4, 9, 11, 13)
-    TOP = 13
-
-    def __post_init__(self):
-        if self.torsion_order < 0:
-            raise ValueError("torsion order is a magnitude")
-
-    @property
-    def torsion_degrees(self) -> tuple[int, ...]:
-        return (6, 8) if self.torsion_order != 1 else ()
-
-    @property
-    def m_integral(self) -> bool:
-        return self.torsion_order.denominator == 1
-
-    def free_rank(self, k: int) -> int:
-        return 1 if k in self.FREE_DEGREES else 0
-
-    def torsion_at(self, k: int) -> Fraction:
-        return self.torsion_order if k in self.torsion_degrees else Fraction(1)
-
-    def describe(self, k: int) -> str:
-        if self.free_rank(k):
-            return "Z"
-        if k in self.torsion_degrees:
-            return f"Z/{self.torsion_order}"
-        return "0"
-
-    def rational_betti(self) -> tuple[int, ...]:
-        return tuple(self.free_rank(k) for k in range(self.TOP + 1))
-
-
-def integral_cohomology(q: Sequence[int]) -> CohomologyProfile:
-    """Cohomology profile of an admissible tuple; rejects non-free q."""
-    report = check_free(q)
-    if not report.verdict:
-        raise ValueError(f"tuple {tuple(q)} is not free: {_free_failure(report)}")
-    return CohomologyProfile(torsion_order=abs(h6_order(q)))
-
-
-def _free_failure(report: FreenessReport) -> str:
-    if not report.all_odd:
-        return "not all entries are odd"
-    (i, j), (k, l), g = report.failing_pairs[0]
-    return f"pair sums at indices {(i, j)} and {(k, l)} have gcd {g} != 2"
+# rational Betti numbers in degrees 0..13; the integral cohomology is free
+# of rank 1 in these degrees and cyclic of order |m| in degrees 6 and 8
+# (nothing there when |m| = 1)
+RATIONAL_BETTI = (1, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1)
 
 
 def _p_divides(p: int, r: Fraction) -> bool:
@@ -197,23 +144,21 @@ def _p_divides(p: int, r: Fraction) -> bool:
     return v >= 1
 
 
-def mod_p_betti(profile: CohomologyProfile, p: int) -> tuple[int, ...]:
-    """Mod-p dimensions by universal coefficients.
+def mod_p_betti(torsion_order: Fraction, p: int) -> tuple[int, ...]:
+    """Mod-p dimensions in degrees 0..13 by universal coefficients, for
+    torsion of order ``torsion_order`` = |m| in degrees 6 and 8.
 
     dim_k = free rank of H^k, plus 1 if p divides the torsion of H^k,
-    plus 1 if p divides the torsion of H^{k+1}.
+    plus 1 if p divides the torsion of H^{k+1}: when p divides |m| that
+    adds one to degrees 5, 6, 7 and 8, otherwise nothing.
     """
+    if torsion_order < 0:
+        raise ValueError("torsion order is a magnitude")
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise ValueError(f"{p} is not prime")
-    dims = []
-    for k in range(profile.TOP + 1):
-        d = profile.free_rank(k)
-        if _p_divides(p, profile.torsion_at(k)):
-            d += 1
-        if k + 1 <= profile.TOP and _p_divides(p, profile.torsion_at(k + 1)):
-            d += 1
-        dims.append(d)
-    return tuple(dims)
+    if not _p_divides(p, torsion_order):
+        return RATIONAL_BETTI
+    return tuple(b + (5 <= k <= 8) for k, b in enumerate(RATIONAL_BETTI))
 
 
 MOD3_CP2xS9 = "CP2xS9"

@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bazaikin, cohomology, groups, pipeline, spectral
+from . import bazaikin, cohomology, gates, groups, pipeline, spectral
 
 
 def _emit(data) -> None:
@@ -120,7 +120,7 @@ def cmd_group_build(args) -> int:
 def cmd_group_analyze(args) -> int:
     try:
         G = groups.read_group_file(args.infile)
-    except (OSError, groups.GroupError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read group table: {exc}")
     primes = groups.prime_divisors(G.order)
     is_p_group = len(primes) == 1
@@ -246,7 +246,7 @@ def cmd_ss_verify(args) -> int:
         # minimum, must leave the same number of degree-6 survivors
         pages = spectral.run_choice_pages(args.p, report.minimizing_choice)
         if pages[-1].total_degree(6) != report.min_deg6_survivors:
-            raise spectral.ProofGateError(
+            raise gates.ProofGateError(
                 f"the page engine leaves {pages[-1].total_degree(6)} degree-6 "
                 f"survivors for the minimizing choice; the sweep reports "
                 f"{report.min_deg6_survivors}"
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, groups.GroupError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -223,10 +223,6 @@ class FixedPointProfile:
         comps = tuple(sorted(self.components, key=_TYPE_ORDER.index))
         object.__setattr__(self, "components", comps)
 
-    @property
-    def total_betti(self) -> int:
-        return sum(sum(COMPONENT_BETTI[c]) for c in self.components)
-
     def count(self, label: str) -> int:
         return self.components.count(label)
 
@@ -275,11 +271,6 @@ def frankel_compatible(component_dims: Iterable[int], ambient_dim: int) -> bool:
     to intersect (dimension sum at least the ambient dimension)."""
     dims = sorted(component_dims, reverse=True)
     return not (len(dims) >= 2 and dims[0] + dims[1] >= ambient_dim)
-
-
-def allday_bound_check(bM: Sequence[int], bF: Sequence[int]) -> bool:
-    """Total Betti number of the fixed set at most that of the ambient."""
-    return sum(_betti(bF)) <= sum(_betti(bM))
 
 
 # ---------------------------------------------------------------------------

@@ -255,12 +255,6 @@ class SubgroupHandle:
     def is_normal(self) -> bool:
         return _is_normal_set(self.parent, self.elements)
 
-    def as_group(self) -> GroupTable:
-        arr = np.array(self.elements)
-        sub = self.parent.table[np.ix_(arr, arr)]
-        reindex = np.searchsorted(arr, sub)
-        return GroupTable(reindex, name=f"{self.parent.name}|sub{self.order}")
-
     def contains(self, g: int) -> bool:
         return g in set(self.elements)
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import bazaikin, cohomology, groups, spectral
-from .spectral import ProofGateError, _gate
+from .gates import ProofGateError, _gate
 
 RATIONAL = "rational"
 MOD3 = "mod3"
@@ -138,16 +138,13 @@ class ObstructionReport:
 
 
 def _rational_betti() -> list[int]:
-    profile = bazaikin.CohomologyProfile(torsion_order=Fraction(1))
-    return list(profile.rational_betti())
+    return list(bazaikin.RATIONAL_BETTI)
 
 
 def _mod3_betti_totals() -> dict:
-    plain = bazaikin.CohomologyProfile(torsion_order=Fraction(1))
-    torsion3 = bazaikin.CohomologyProfile(torsion_order=Fraction(3))
     return {
-        bazaikin.MOD3_CP2xS9: sum(bazaikin.mod_p_betti(plain, 3)),
-        bazaikin.MOD3_CP4xS5: sum(bazaikin.mod_p_betti(torsion3, 3)),
+        bazaikin.MOD3_CP2xS9: sum(bazaikin.mod_p_betti(Fraction(1), 3)),
+        bazaikin.MOD3_CP4xS5: sum(bazaikin.mod_p_betti(Fraction(3), 3)),
     }
 
 

@@ -56,6 +56,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
+from .gates import _gate
 from .gfp import (
     Subspace,
     is_zero,
@@ -65,23 +66,12 @@ from .gfp import (
 )
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13)
-FIBER_DIMS = (1, 0, 1, 1, 0, 1)
 FIBER_ROWS = (0, 2, 3, 5)
 WINDOW = 7  # report spots with m + n <= WINDOW
 
 Mono = tuple[int, int, int, int]  # (e1, e2, a, b): s1^e1 s2^e2 t1^a t2^b
 Vec = tuple[int, ...]
 Frame = tuple[tuple[int, int, int], Vec]  # (d2 coefficients, d3y)
-
-
-class ProofGateError(AssertionError):
-    """An internal check of the certificate failed.  Raised explicitly, so
-    the check also runs under ``python -O``."""
-
-
-def _gate(ok: bool, message: str) -> None:
-    if not ok:
-        raise ProofGateError(message)
 
 
 @lru_cache(maxsize=None)
@@ -116,12 +106,6 @@ def _mono_mul(m1: Mono, m2: Mono) -> Optional[tuple[int, Mono]]:
 
 def base_dim(k: int) -> int:
     return len(monomials(k)) if k >= 0 else 0
-
-
-def bg_dims(p: int, max_deg: int) -> tuple[int, ...]:
-    """dim H^k of the classifying space of (Z_p)^2, k = 0..max_deg."""
-    _require_odd_prime(p)
-    return tuple(base_dim(k) for k in range(max_deg + 1))
 
 
 def _require_odd_prime(p: int) -> None:
@@ -195,11 +179,6 @@ class DifferentialChoice:
     d6xy: Optional[tuple[int, ...]] = None
 
 
-def zero_choice(p: int) -> DifferentialChoice:
-    _require_odd_prime(p)
-    return DifferentialChoice(a=(0, 0, 0))
-
-
 @dataclass(frozen=True)
 class BigradedPage:
     """Dimensions over the window m + n <= 7; r is the page index, with
@@ -213,17 +192,6 @@ class BigradedPage:
 
     def total_degree(self, k: int) -> int:
         return sum(d for (m, n), d in self.dims.items() if m + n == k)
-
-
-def e2_page(p: int) -> BigradedPage:
-    _require_odd_prime(p)
-    dims = {}
-    for n in FIBER_ROWS:
-        for m in range(WINDOW - n + 1):
-            d = base_dim(m) * FIBER_DIMS[n]
-            if d:
-                dims[(m, n)] = d
-    return BigradedPage(r=2, dims=dims)
 
 
 @dataclass(frozen=True)

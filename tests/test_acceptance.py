@@ -67,12 +67,12 @@ def test_criterion_2_bazaikin_constants():
         q = tuple(rng.randint(-50, 50) for _ in range(5))
         assert bz.e3(q) == poly_oracle(q)
 
-    with_three = bz.mod_p_betti(bz.CohomologyProfile(torsion_order=Fraction(3)), 3)
+    with_three = bz.mod_p_betti(Fraction(3), 3)
     assert sum(with_three) == 10
     assert tuple(i for i, d in enumerate(with_three) if d) == (
         0, 2, 4, 5, 6, 7, 8, 9, 11, 13,
     )
-    without = bz.mod_p_betti(bz.CohomologyProfile(torsion_order=Fraction(5)), 3)
+    without = bz.mod_p_betti(Fraction(5), 3)
     assert sum(without) == 6
     assert tuple(i for i, d in enumerate(without) if d) == (0, 2, 4, 9, 11, 13)
     _report(2, "e3 == polynomial oracle on 10000 tuples; mod-3 supports 10/6 as stated")
@@ -228,7 +228,7 @@ def test_criterion_7_trace_sets():
 
 
 def test_criterion_8_spectral_engine():
-    dims = ss.bg_dims(3, 7)
+    dims = tuple(ss.base_dim(k) for k in range(8))
     assert (dims[6], dims[3], dims[2], dims[0]) == (7, 4, 3, 1)
     t0 = time.perf_counter()
     rep3 = ss.exhaustive_verdict(3)

@@ -170,30 +170,36 @@ def test_sign_flip_invariance(q):
 # --- cohomology profile ------------------------------------------------
 
 
-def test_profile_rejects_non_free():
-    with pytest.raises(ValueError):
-        bz.integral_cohomology((1, 1, 1, 1, 2))
-
-
 def test_profile_shape_trivial_torsion():
-    prof = bz.CohomologyProfile(torsion_order=Fraction(1))
-    assert prof.torsion_degrees == ()
-    assert [k for k in range(14) if prof.free_rank(k)] == [0, 2, 4, 9, 11, 13]
-    assert prof.rational_betti() == (1, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1)
+    # order 1 leaves no torsion, so no prime sees more than the free part
+    for p in (2, 3, 5, 7):
+        assert bz.mod_p_betti(Fraction(1), p) == bz.RATIONAL_BETTI
+    assert [k for k in range(14) if bz.RATIONAL_BETTI[k]] == [0, 2, 4, 9, 11, 13]
+    assert bz.RATIONAL_BETTI == (1, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1)
 
 
 def test_profile_shape_with_torsion():
-    prof = bz.CohomologyProfile(torsion_order=Fraction(3))
-    assert prof.torsion_degrees == (6, 8)
-    assert prof.describe(6) == "Z/3" and prof.describe(8) == "Z/3"
-    assert prof.describe(0) == "Z" and prof.describe(13) == "Z"
+    # torsion in degrees 6 and 8 shows mod 3 in degrees 5, 6 and 7, 8
+    dims = bz.mod_p_betti(Fraction(3), 3)
+    assert [k for k in range(14) if dims[k] != bz.RATIONAL_BETTI[k]] == [5, 6, 7, 8]
 
 
 def test_profile_of_all_ones_reports_exact_rational():
-    prof = bz.integral_cohomology((1, 1, 1, 1, 1))
-    assert prof.torsion_order == Fraction(5, 4)
-    assert not prof.m_integral
-    assert prof.torsion_degrees == (6, 8)
+    q = (1, 1, 1, 1, 1)
+    assert bz.check_free(q).verdict
+    assert abs(bz.h6_order(q)) == Fraction(5, 4)
+    assert abs(bz.h6_order(q)).denominator != 1
+    # the torsion order is not 1, so a prime dividing its numerator sees it
+    assert bz.mod_p_betti(abs(bz.h6_order(q)), 5) != bz.RATIONAL_BETTI
+
+
+def test_mod_p_betti_rejects_bad_input():
+    with pytest.raises(ValueError, match="magnitude"):
+        bz.mod_p_betti(Fraction(-3), 3)
+    with pytest.raises(ValueError, match="not prime"):
+        bz.mod_p_betti(Fraction(3), 9)
+    # an order of 0 is divisible by every prime
+    assert sum(bz.mod_p_betti(Fraction(0), 7)) == 10
 
 
 # --- universal coefficients --------------------------------------------
@@ -214,32 +220,28 @@ def uct_oracle(free_ranks, torsion, p):
 
 
 def test_mod3_with_torsion_divisible_by_three():
-    prof = bz.CohomologyProfile(torsion_order=Fraction(3))
-    dims = bz.mod_p_betti(prof, 3)
+    dims = bz.mod_p_betti(Fraction(3), 3)
     assert sum(dims) == 10
     assert tuple(i for i, d in enumerate(dims) if d) == (0, 2, 4, 5, 6, 7, 8, 9, 11, 13)
-    free = [prof.free_rank(k) for k in range(14)]
+    free = list(bz.RATIONAL_BETTI)
     tor = [3 if k in (6, 8) else 1 for k in range(14)]
     assert dims == uct_oracle(free, tor, 3)
 
 
 def test_mod3_without_three_torsion():
-    prof = bz.CohomologyProfile(torsion_order=Fraction(5))
-    dims = bz.mod_p_betti(prof, 3)
+    dims = bz.mod_p_betti(Fraction(5), 3)
     assert sum(dims) == 6
     assert tuple(i for i, d in enumerate(dims) if d) == (0, 2, 4, 9, 11, 13)
 
 
 def test_mod5_without_five_torsion_matches_rational():
-    prof = bz.CohomologyProfile(torsion_order=Fraction(3))
-    assert bz.mod_p_betti(prof, 5) == prof.rational_betti()
+    assert bz.mod_p_betti(Fraction(3), 5) == bz.RATIONAL_BETTI
 
 
 @pytest.mark.parametrize("order", [1, 3, 5, 9, 15])
 def test_mod_p_total_at_least_rational(order):
-    prof = bz.CohomologyProfile(torsion_order=Fraction(order))
     for p in (3, 5, 7):
-        total = sum(bz.mod_p_betti(prof, p))
+        total = sum(bz.mod_p_betti(Fraction(order), p))
         assert total >= 6
         assert (total == 6) == (order % p != 0)
 

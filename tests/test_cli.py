@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcurv13 import gates
 from pcurv13 import groups as gr
 from pcurv13 import spectral as ss
 from pcurv13.cli import main
@@ -208,7 +209,7 @@ def test_ss_verify_trace_checks_the_page_engine(capsys, monkeypatch):
         return [*pages, ss.BigradedPage(r=None, dims=dims)]
 
     monkeypatch.setattr(ss, "run_choice_pages", one_more_survivor)
-    with pytest.raises(ss.ProofGateError, match="leaves 5 degree-6 survivors"):
+    with pytest.raises(gates.ProofGateError, match="leaves 5 degree-6 survivors"):
         main(["ss", "verify", "--p", "3", "--trace"])
     assert capsys.readouterr().out == ""
 

@@ -31,6 +31,13 @@ def orders_by_multiplication(G):
     return out
 
 
+def as_group(H):
+    """The subgroup H as a validated table of its own, its elements
+    renumbered in increasing order."""
+    arr = np.array(H.elements)
+    return gr.GroupTable(np.searchsorted(arr, H.parent.table[np.ix_(arr, arr)]))
+
+
 def squaring_closure(table, seed):
     """Subgroup generated by seed: the set times itself, until it stops growing."""
     elems = {int(s) for s in seed} | {0}
@@ -241,7 +248,7 @@ def test_every_table_is_int16(tmp_path):
         G,
         gr.build_burnside(gr.BurnsideParams(7, 3, 2)),
         gr.read_group_file(path),
-        gr.sylow(G, 3).as_group(),
+        as_group(gr.sylow(G, 3)),
         gr.GroupTable([[0, 1], [1, 0]]),
     ]
     assert [T.table.dtype for T in tables] == [np.int16] * len(tables)
@@ -483,7 +490,7 @@ def pattern_oracle(G):
         if sub is None:
             return
         if len(sub) == 27:
-            found.add(gr.classify_order_27(gr.SubgroupHandle(G, sub).as_group()))
+            found.add(gr.classify_order_27(as_group(gr.SubgroupHandle(G, sub))))
         elif len(sub) == 9 and all(int(G.element_order[g]) in (1, 3) for g in sub):
             found.add("ZpxZp")
 
@@ -876,10 +883,3 @@ def test_subgroup_handle_rejects_non_closed_sets():
     with pytest.raises(gr.GroupError, match="identity"):
         gr.SubgroupHandle(G, (1, 2))
     assert gr.SubgroupHandle(G, (0, 2, 4)).order == 3
-
-
-def test_subgroup_as_group_valid():
-    B = gr.build_burnside(gr.BurnsideParams(7, 3, 2))
-    S = gr.sylow(B, 7).as_group()
-    assert S.order == 7
-    assert gr.is_isomorphic(S, gr.build_standard("Z7"))

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from pcurv13 import cohomology as ch
+from pcurv13 import gates
 from pcurv13 import pipeline as pl
-from pcurv13 import spectral as ss
 
 SRC = Path(pl.__file__).resolve().parent
 
@@ -186,12 +186,12 @@ def test_empty_bounds_rejected():
 def test_pipeline_gate_survives_optimize_flag():
     script = """
 import sys
-from pcurv13 import cohomology, pipeline as pl, spectral as ss
+from pcurv13 import cohomology, gates, pipeline as pl
 print("optimize:", sys.flags.optimize)
 cohomology.davis_parity = lambda betti: 2
 try:
     pl.theorem_a_report(pl.ScenarioInput(2, "rational"))
-except ss.ProofGateError as exc:
+except gates.ProofGateError as exc:
     print("gate:", exc)
     sys.exit(0)
 sys.exit(1)
@@ -283,7 +283,7 @@ def test_every_gated_step_stops_a_changed_output(coh, monkeypatch):
             m.setitem(pl.OPS, step.name, _changing_call(pl.OPS[step.name], nth))
             try:
                 pl.theorem_a_report(scenario)
-            except ss.ProofGateError as exc:
+            except gates.ProofGateError as exc:
                 if str(exc) == message:
                     continue
             except ValueError:

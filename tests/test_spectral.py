@@ -29,17 +29,38 @@ def poincare_series_oracle(max_deg):
     return tuple(out)
 
 
+def bg_dims(max_deg):
+    """dim H^k of the classifying space of (Z_p)^2, k = 0..max_deg."""
+    return tuple(ss.base_dim(k) for k in range(max_deg + 1))
+
+
+def e2_page():
+    """The second page: the base tensored with the fiber dims (1,0,1,1,0,1)."""
+    fiber_dims = (1, 0, 1, 1, 0, 1)
+    dims = {}
+    for n in ss.FIBER_ROWS:
+        for m in range(ss.WINDOW - n + 1):
+            d = ss.base_dim(m) * fiber_dims[n]
+            if d:
+                dims[(m, n)] = d
+    return ss.BigradedPage(r=2, dims=dims)
+
+
+def zero_choice():
+    return ss.DifferentialChoice(a=(0, 0, 0))
+
+
 # --- base dimensions ------------------------------------------------------
 
 
 def test_bg_dims_paper_values():
-    dims = ss.bg_dims(3, 7)
+    dims = bg_dims(7)
     assert dims[6] == 7 and dims[3] == 4 and dims[2] == 3 and dims[0] == 1
     assert dims[1] == 2
 
 
 def test_bg_dims_generating_function():
-    assert ss.bg_dims(5, 12) == poincare_series_oracle(12)
+    assert bg_dims(12) == poincare_series_oracle(12)
 
 
 def test_bg_degree6_monomial_split():
@@ -50,17 +71,17 @@ def test_bg_degree6_monomial_split():
 
 
 def test_bg_dims_requires_odd_prime():
-    with pytest.raises(ValueError):
-        ss.bg_dims(2, 5)
-    with pytest.raises(ValueError):
-        ss.bg_dims(9, 5)
+    with pytest.raises(ValueError, match="odd prime"):
+        ss.run_choice(2, zero_choice())
+    with pytest.raises(ValueError, match="9 is not prime"):
+        ss.run_choice(9, zero_choice())
 
 
 # --- second page -----------------------------------------------------------
 
 
 def test_e2_page_values():
-    e2 = ss.e2_page(3)
+    e2 = e2_page()
     assert e2.dim(6, 0) == 7
     assert e2.dim(2, 2) == 3
     assert all(e2.dim(m, 1) == 0 for m in range(8))
@@ -102,8 +123,8 @@ def compatible_d3y(p, a):
 
 
 def test_zero_choice_keeps_everything():
-    inf = ss.run_choice(3, ss.zero_choice(3))
-    assert inf.dims == ss.e2_page(3).dims
+    inf = ss.run_choice(3, zero_choice())
+    assert inf.dims == e2_page().dims
     assert inf.total_degree(6) == 18
 
 
@@ -211,7 +232,7 @@ def test_degree6_kills_within_budget():
     for _ in range(25):
         choice = _random_valid_choice(3, rng)
         inf = ss.run_choice(3, choice)
-        assert ss.e2_page(3).dim(6, 0) - inf.dim(6, 0) <= 8
+        assert e2_page().dim(6, 0) - inf.dim(6, 0) <= 8
 
 
 def test_every_sampled_choice_keeps_a_degree6_class():
@@ -606,13 +627,13 @@ def test_tau_classes_match_page_engine_row5(p, monkeypatch):
 def test_proof_gate_survives_optimize_flag():
     script = """
 import sys
-from pcurv13 import spectral as ss
+from pcurv13 import gates, spectral as ss
 print("optimize:", sys.flags.optimize)
 orbits = ss._orbits
 ss._orbits = lambda *args: orbits(*args)[:-1]  # lose the last orbit
 try:
     ss.exhaustive_verdict(3)
-except ss.ProofGateError as exc:
+except gates.ProofGateError as exc:
     print("gate:", exc)
     sys.exit(0)
 sys.exit(1)
