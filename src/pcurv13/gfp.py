@@ -18,7 +18,7 @@ def zero_vec(n: int) -> Vec:
 
 
 def is_zero(u: Sequence[int]) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Vec, ...]:

@@ -9,12 +9,17 @@ subgroup of the fundamental group, together with a replayable trace.
 
 Geometric theorems with no finite verification are modeled as named
 axioms and recorded in the trace; every arithmetic, cohomological or
-group-theoretic step is recomputed live through the other modules and can
-be replayed via the operation registry.
+group-theoretic step is computed through the other modules and can be
+replayed via the operation registry.  The registry computes each distinct
+step (op name and inputs) once per process: a step that recurs in several
+branches reuses the first output, while a replay in a fresh interpreter
+re-derives every distinct step.
 """
 
 from __future__ import annotations
 
+import copy
+import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -264,28 +269,50 @@ def _ss_verdict(p: int) -> dict:
     }
 
 
+# (op name, inputs as canonical JSON) -> output, for this process
+_OUTPUTS: dict[tuple[str, str], object] = {}
+
+
+def _once_per_process(name: str, fn: Callable) -> Callable:
+    """``fn`` evaluated once per distinct input.  Every op is a pure function
+    of plain JSON inputs, as replay already assumes.  Each call returns a
+    deep copy of the stored output, so no two steps share a mutable object;
+    an op that raises stores nothing."""
+
+    def op(**inputs):
+        key = (name, json.dumps(inputs, sort_keys=True))
+        if key not in _OUTPUTS:
+            _OUTPUTS[key] = fn(**inputs)
+        return copy.deepcopy(_OUTPUTS[key])
+
+    return op
+
+
 OPS: dict[str, Callable] = {
-    "bazaikin.rational_betti": _rational_betti,
-    "bazaikin.mod3_betti_totals": _mod3_betti_totals,
-    "cohomology.even_betti_total": _even_betti_total,
-    "cohomology.davis_parity": lambda betti: cohomology.davis_parity(betti),
-    "cohomology.smith_gysin_solve": _smith_gysin,
-    "cohomology.lefschetz_value_set": _lefschetz_values,
-    "cohomology.divisibility_obstruction": _divisibility,
-    "cohomology.odd_divisor_candidates": _odd_divisor_candidates,
-    "cohomology.surviving_odd_primes": _surviving_odd_primes,
-    "cohomology.borel_feasible": lambda codim_total, circle_codims: cohomology.borel_feasible(
-        codim_total, circle_codims
-    ),
-    "cohomology.enumerate_profiles": _enumerate_profiles,
-    "cohomology.frankel_compatible": lambda dims, ambient: cohomology.frankel_compatible(
-        dims, ambient
-    ),
-    "cohomology.mod_p_component_census": _component_census,
-    "groups.small_normal_quotient_index": _small_normal_quotient_index,
-    "groups.three_group_options": _three_group_options,
-    "groups.normal_rank": _normal_rank_by_name,
-    "spectral.exhaustive_verdict": _ss_verdict,
+    name: _once_per_process(name, fn)
+    for name, fn in {
+        "bazaikin.rational_betti": _rational_betti,
+        "bazaikin.mod3_betti_totals": _mod3_betti_totals,
+        "cohomology.even_betti_total": _even_betti_total,
+        "cohomology.davis_parity": lambda betti: cohomology.davis_parity(betti),
+        "cohomology.smith_gysin_solve": _smith_gysin,
+        "cohomology.lefschetz_value_set": _lefschetz_values,
+        "cohomology.divisibility_obstruction": _divisibility,
+        "cohomology.odd_divisor_candidates": _odd_divisor_candidates,
+        "cohomology.surviving_odd_primes": _surviving_odd_primes,
+        "cohomology.borel_feasible": lambda codim_total, circle_codims: (
+            cohomology.borel_feasible(codim_total, circle_codims)
+        ),
+        "cohomology.enumerate_profiles": _enumerate_profiles,
+        "cohomology.frankel_compatible": lambda dims, ambient: (
+            cohomology.frankel_compatible(dims, ambient)
+        ),
+        "cohomology.mod_p_component_census": _component_census,
+        "groups.small_normal_quotient_index": _small_normal_quotient_index,
+        "groups.three_group_options": _three_group_options,
+        "groups.normal_rank": _normal_rank_by_name,
+        "spectral.exhaustive_verdict": _ss_verdict,
+    }.items()
 }
 
 

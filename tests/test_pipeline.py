@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pcurv13 import cohomology as ch
-from pcurv13 import gates
+from pcurv13 import gates, groups
 from pcurv13 import pipeline as pl
 
 SRC = Path(pl.__file__).resolve().parent
@@ -290,6 +292,74 @@ def test_every_gated_step_stops_a_changed_output(coh, monkeypatch):
                 pass  # a changed Betti vector fails the parity criterion's dimension check
         ungated.add((step.tag, step.name))
     assert ungated == UNGATED[coh]
+
+
+# --- each distinct step once per process -------------------------------------------
+
+
+def test_registry_hit_is_an_independent_copy():
+    op = pl.OPS["groups.three_group_options"]
+    first = op()
+    second = op()
+    assert first == second and first is not second
+    assert first["hypothesis_met"] is not second["hypothesis_met"]
+    first["hypothesis_met"].append("Z27")
+    first["all_small"] = False
+    assert op() == {"hypothesis_met": ["Z3xZ3", "Z9semiZ3"], "all_small": True}
+
+
+def test_replay_after_a_live_run_still_stops_a_changed_output():
+    rep = pl.theorem_a_report(pl.ScenarioInput(2, pl.RATIONAL))
+    ops = [s for s in rep.case_trace if s.kind == "op"]
+    assert ops
+    for step in ops:
+        assert pl.replay_step(step)
+        assert not pl.replay_step(dataclasses.replace(step, output=_changed(step.output)))
+
+
+def test_registry_stores_no_raising_op():
+    for _ in range(2):
+        with pytest.raises(groups.GroupError, match="needs a 3-group"):
+            pl.OPS["groups.normal_rank"](name="Z6", p=3)
+
+
+def test_reports_repeat_in_one_process():
+    for rank, coh in [(2, pl.RATIONAL), (2, pl.MOD3), (3, pl.RATIONAL)]:
+        scenario = pl.ScenarioInput(rank, coh)
+        first = pl.theorem_a_report(scenario).to_json()
+        assert pl.theorem_a_report(scenario).to_json() == first
+
+
+def test_fresh_rational_run_evaluates_each_distinct_group_step_once():
+    """The rational trace repeats its group steps across branches (73 op
+    steps, 28 distinct); evaluated at every step they cost 105 pattern
+    searches, 66 tables and 9 isomorphism tests."""
+    script = """
+import collections, contextlib, io, json
+from pcurv13 import cli, groups
+
+calls = collections.Counter()
+
+def counting(name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+groups.contains_copy = counting("pattern_searches", groups.contains_copy)
+groups.is_isomorphic = counting("isomorphism_tests", groups.is_isomorphic)
+groups.GroupTable.__init__ = counting("tables", groups.GroupTable.__init__)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["theorem-a", "--rank", "2", "--cohomology", "rational", "--json"])
+print(json.dumps({"rc": rc, **calls}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert counts == {"rc": 0, "pattern_searches": 35, "tables": 22, "isomorphism_tests": 3}
 
 
 def test_no_bare_asserts_in_the_package():
