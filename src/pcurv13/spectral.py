@@ -32,9 +32,12 @@ sequence onto another with the same page dimensions.  It therefore maps
 the admissible choices over one (d2, d3y) frame bijectively onto those
 over the image frame, and both the number of choices and the minimum
 number of degree-6 survivors are constant on orbits.  The sweep
-evaluates one frame per orbit and weights its count by the orbit size;
-on the zero frame, which the whole group fixes, it reduces the d4 values
-the same way.
+evaluates one frame per orbit and weights its count by the orbit size.
+The whole group fixes the zero frame (d2 = 0, d3y = 0), so there it
+also moves d4(x) and d4(xy), both valued in R_4, without changing their
+shares of the degree-6 survivors; one orbit build on R_4 reduces both
+loops, d4(x) to one value per orbit and d4(xy) to one line per nonzero
+orbit.
 
 Lines.  The two rescalings scale d2 and d3y independently, so every
 orbit is a union of products of lines, and the orbits are built on one
@@ -200,10 +203,12 @@ class SweepStats:
 
     ``frames`` is the number of (d2, d3y) frames, ``frame_orbits`` the
     number evaluated (one per orbit), ``zero_frame_d4x_orbits`` the number
-    of d4 values evaluated on the zero frame (out of p^5).  ``d4x_lines``,
+    of orbits of the group on R_4 (out of p^5 points).  ``d4x_lines``,
     ``d4xy_lines`` and ``d6_lines`` count the values of d4(x), d4(xy) and
     d6(xy) evaluated over all evaluated frames: one per line (d4(x) = 0
-    counted as one), and one per orbit for d4(x) on the zero frame.
+    counted as one), except on the zero frame, where the same orbits
+    reduce both d4 loops: d4(x) takes one value per orbit and d4(xy) one
+    line per nonzero orbit.
     """
 
     frames: int
@@ -476,12 +481,14 @@ def exhaustive_verdict(p: int) -> VerdictReport:
     choice count is weighted by the orbit size.  The per-frame count and
     minimum are invariant under the group, so the total and the minimum
     equal those of the full sweep, and the reported minimizer is the one
-    the full sweep would report.  On the zero frame the d4 values are
-    reduced by the same group.  Within a frame the d4 values are taken one
-    per line, and the remaining coordinates act on the four degree-6 spots
-    through class-invariant quantities with separable couplings, so their
-    loops factor exactly.  ``stats`` reports what was evaluated and where
-    the time went.
+    the full sweep would report.  On the zero frame, which the group fixes,
+    one orbit build on R_4 reduces both d4 loops: d4(x) takes one value
+    per orbit, weighted by its size, and d4(xy) one line per nonzero
+    orbit, weighted by its number of lines.  Elsewhere the d4 values are
+    taken one per line, and the remaining coordinates act on the four
+    degree-6 spots through class-invariant quantities with separable
+    couplings, so their loops factor exactly.  ``stats`` reports what was
+    evaluated and where the time went.
     """
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"supported primes are {SUPPORTED_PRIMES}, got {p}")
@@ -497,8 +504,13 @@ def exhaustive_verdict(p: int) -> VerdictReport:
     for (a, v), size in frame_orbits:
         fr = _Frame(p, a, v)
         if is_zero(a) and is_zero(v):
-            # page-4 classes of the zero frame are plain vectors of R_4
-            cnt, mn, ch, evaluated = _frame_minimum(fr, [((w, w), n) for w, n in d4x_orbits])
+            # the page-(4,0) classes and page-(4,2) coordinates of the zero
+            # frame are plain vectors of R_4; d4(xy) takes the nonzero orbits
+            cnt, mn, ch, evaluated = _frame_minimum(
+                fr,
+                [((w, w), n) for w, n in d4x_orbits],
+                [(w, n // (p - 1)) for w, n in d4x_orbits if any(w)],
+            )
         else:
             cnt, mn, ch, evaluated = _frame_minimum(fr)
         examined += size * cnt
@@ -563,7 +575,8 @@ def _frame_orbits(p: int) -> list[tuple[Frame, int]]:
 
 def _zero_frame_d4x_orbits(p: int) -> list[tuple[Vec, int]]:
     """(first d4 value, orbit size) per orbit of the same group on R_4,
-    which is where d4 of the degree-3 generator lives on the zero frame.
+    which is where d4 of both the degree-3 and the degree-5 generator lives
+    on the zero frame.
     The rescalings reach R_4 as every nonzero scalar, so the orbits are
     built on zero and one point per line, as in ``_frame_orbits``."""
     n = base_dim(4)
@@ -658,16 +671,25 @@ def _primitive_root(p: int) -> int:
 
 
 def _frame_minimum(
-    fr: _Frame, d4x_classes: Optional[Sequence[tuple[tuple[Vec, Vec], int]]] = None
+    fr: _Frame,
+    d4x_classes: Optional[Sequence[tuple[tuple[Vec, Vec], int]]] = None,
+    d4xy_lines: Optional[Sequence[tuple[Vec, int]]] = None,
 ) -> tuple[int, int, DifferentialChoice, tuple[int, int, int]]:
     """(choices counted, min survivors at total degree 6, minimizing choice,
     the d4(x), d4(xy) and d6 values evaluated).
 
     ``d4x_classes`` lists ((page coordinates, vector), weight) for the d4
     values to evaluate, each counted weight times; by default zero once and
-    one class per line, weighted p - 1.  A caller passing orbit
-    representatives of the frame's stabilizer, weighted by orbit size, gets
-    the same result.
+    one class per line, weighted p - 1.  ``d4xy_lines`` lists (page
+    coordinates, number of lines) for the nonzero d4(xy) values, each
+    standing for that many lines of p - 1 values; by default one entry per
+    line with weight 1.  The weights must sum to the number of lines
+    (p^k - 1)/(p - 1), k the page dimension at (4,2), or a proof gate
+    stops the call.  A caller passing orbit representatives of the frame's
+    stabilizer, weighted by orbit size, gets the same result, provided
+    each d4(xy) representative is the first line of its orbit in
+    lexicographic order, since the pick among minimizing lines is the
+    lexicographically least.
 
     Every quantity below depends on d4(x) = w and d4(xy) = omega only
     through their lines: ranks of w*R_m joined to a subspace, the page-6
@@ -716,14 +738,20 @@ def _frame_minimum(
     # with omega = tau = 0, s15 never reads w: one value per frame
     s15_zero = s15(zero4, zero6, zero4)
     s42_zero = dim_ker_v4 - uR2.dim
-    om_lines: list[tuple[Vec, int]] = []
-    if fr.xy_alive4:
-        om_reps = fr.page42_reps()
-        for c in _lines(p, len(om_reps)):
-            om = _combine(p, c, om_reps, base_dim(4))
-            om_lines.append((c, dim_ker_v4 - uR2.join([om]).dim + s15(om, zero6, zero4)))
-        om_share = min((t[1] for t in om_lines), default=None)
-        om_pick = min((t[0] for t in om_lines if t[1] == om_share), default=None)
+    om_reps = fr.page42_reps() if fr.xy_alive4 else []
+    if d4xy_lines is None:
+        d4xy_lines = [(c, 1) for c in _lines(p, len(om_reps))]
+    _gate(
+        sum(n for _, n in d4xy_lines) == (p ** len(om_reps) - 1) // (p - 1),
+        "d4(xy) line weights do not sum to the number of lines",
+    )
+    om_shares: list[tuple[Vec, int]] = []
+    for c, _ in d4xy_lines:
+        om = _combine(p, c, om_reps, base_dim(4))
+        om_shares.append((c, dim_ker_v4 - uR2.join([om]).dim + s15(om, zero6, zero4)))
+    om_share = min((t[1] for t in om_shares), default=None)
+    om_pick = min((t[0] for t in om_shares if t[1] == om_share), default=None)
+    om_count = (p - 1) * sum(n for _, n in d4xy_lines)
 
     examined = 0
     d6_lines = 0
@@ -741,7 +769,7 @@ def _frame_minimum(
             d6_lines += evaluated
             om_zero = zero_vec(len(om_reps))
             options = [
-                ((p - 1) * len(om_lines), om_share, (w_coords, om_pick, None)),
+                (om_count, om_share, (w_coords, om_pick, None)),
                 (p ** len(tau_reps), s42_zero + t_share, (w_coords, om_zero, t_coords)),
             ]
         for count, share, parts in options:
@@ -759,7 +787,7 @@ def _frame_minimum(
         d4xy=om_coords if fr.xy_alive4 else None,
         d6xy=tau_coords,
     )
-    return examined, best, choice, (len(d4x_classes), len(om_lines), d6_lines)
+    return examined, best, choice, (len(d4x_classes), len(d4xy_lines), d6_lines)
 
 
 def _tau_minimum(fr: _Frame, w: Vec, tau_reps: list[Vec], s15) -> tuple[int, Vec, int]:

@@ -226,7 +226,7 @@ def test_ss_verify_stats(capsys):
     }
     assert {k: stats[k] for k in ("d4x_lines", "d4xy_lines", "d6_lines")} == {
         "d4x_lines": 172,
-        "d4xy_lines": 142,
+        "d4xy_lines": 30,
         "d6_lines": 23,
     }
     assert stats["choices"] == data["choices"] == 166213

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pcurv13 import gfp
+from pcurv13 import gates, gfp
 from pcurv13 import spectral as ss
 
 
@@ -282,6 +282,7 @@ def test_exhaustive_verdict_p7():
     assert rep.choices_examined == 675373861
     assert rep.verdict
     assert ss.run_choice(7, rep.minimizing_choice).total_degree(6) == rep.min_deg6_survivors
+    assert rep.stats.d4xy_lines == 82
 
 
 @pytest.mark.parametrize(
@@ -552,6 +553,58 @@ def test_reduced_verdict_matches_unreduced_p5():
     assert (rep.choices_examined, rep.min_deg6_survivors, rep.minimizing_choice) == totals
     assert totals[0] == 24694001
     assert rep.stats.frames == 3245 and rep.stats.frame_orbits == 22
+    assert rep.stats.d4xy_lines == 52
+
+
+def zero_frame_arguments(p):
+    """The arguments exhaustive_verdict passes _frame_minimum for the zero
+    frame: the frame, its d4(x) classes and its d4(xy) lines."""
+    calls = []
+    frame_minimum = ss._frame_minimum
+
+    def spy(fr, *args):
+        if not any(fr.a) and not any(fr.v):
+            calls.append((fr, *args))
+        return frame_minimum(fr, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ss, "_frame_minimum", spy)
+        ss.exhaustive_verdict(p)
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_zero_frame_d4xy_orbits_match_every_line(p):
+    """The zero frame's d4(xy) loop over the nonzero d4 orbit representatives,
+    each weighted by its number of lines, gives the count, minimum and
+    minimizing choice of the loop over every line."""
+    fr, d4x_classes, d4xy_lines = zero_frame_arguments(p)
+    assert len(d4xy_lines) == 9
+    assert sum(n for _, n in d4xy_lines) == (p**5 - 1) // (p - 1)
+    reduced = ss._frame_minimum(fr, d4x_classes, d4xy_lines)
+    assert reduced[3][1] == 9
+    assert reduced[:3] == ss._frame_minimum(fr, d4x_classes)[:3]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_d4xy_line_weights_are_gated(p):
+    """A d4(xy) line list whose weights miss the number of lines, short,
+    padded or counting points, stops _frame_minimum."""
+    fr, d4x_classes, d4xy_lines = zero_frame_arguments(p)
+    bad_lists = [
+        d4xy_lines[:-1],
+        d4xy_lines + d4xy_lines[-1:],
+        [(c, n * (p - 1)) for c, n in d4xy_lines],
+    ]
+    for bad in bad_lists:
+        with pytest.raises(gates.ProofGateError, match="d4\\(xy\\) line weights"):
+            ss._frame_minimum(fr, d4x_classes, bad)
+    # xy dies on page 3 here, so the frame has no d4(xy) line to weight
+    dead = ss._Frame(p, (0, 0, 0), (1, 0, 0, 0))
+    assert not dead.xy_alive4
+    with pytest.raises(gates.ProofGateError, match="d4\\(xy\\) line weights"):
+        ss._frame_minimum(dead, None, [((), 1)])
 
 
 # --- the d6 minimum against every nonzero class -------------------------------------
@@ -624,15 +677,15 @@ def test_tau_classes_match_page_engine_row5(p, monkeypatch):
     assert checked == {3: 5255, 5: 82807}[p]
 
 
-def test_proof_gate_survives_optimize_flag():
-    script = """
+def run_optimized(body):
+    """Standard output of ``body`` run under ``python -O``; the script exits 0
+    only if ``body`` raises ProofGateError."""
+    script = f"""
 import sys
 from pcurv13 import gates, spectral as ss
 print("optimize:", sys.flags.optimize)
-orbits = ss._orbits
-ss._orbits = lambda *args: orbits(*args)[:-1]  # lose the last orbit
 try:
-    ss.exhaustive_verdict(3)
+{body}
 except gates.ProofGateError as exc:
     print("gate:", exc)
     sys.exit(0)
@@ -645,7 +698,24 @@ sys.exit(1)
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "optimize: 1" in proc.stdout
-    assert "frame orbit sizes do not sum" in proc.stdout
+    return proc.stdout
+
+
+def test_proof_gate_survives_optimize_flag():
+    body = """
+    orbits = ss._orbits
+    ss._orbits = lambda *args: orbits(*args)[:-1]  # lose the last orbit
+    ss.exhaustive_verdict(3)
+"""
+    assert "frame orbit sizes do not sum" in run_optimized(body)
+
+
+def test_d4xy_line_gate_survives_optimize_flag():
+    body = """
+    zero = ss._Frame(3, (0, 0, 0), (0, 0, 0, 0))
+    ss._frame_minimum(zero, None, [((0, 0, 0, 0, 1), 1)])  # one line of 121
+"""
+    assert "d4(xy) line weights do not sum" in run_optimized(body)
 
 
 # --- the factored sweep against the page engine, choice by choice ---------------
