@@ -741,8 +741,9 @@ def _frame_minimum(
     om_reps = fr.page42_reps() if fr.xy_alive4 else []
     if d4xy_lines is None:
         d4xy_lines = [(c, 1) for c in _lines(p, len(om_reps))]
+    om_lines = sum(n for _, n in d4xy_lines)
     _gate(
-        sum(n for _, n in d4xy_lines) == (p ** len(om_reps) - 1) // (p - 1),
+        om_lines == (p ** len(om_reps) - 1) // (p - 1),
         "d4(xy) line weights do not sum to the number of lines",
     )
     om_shares: list[tuple[Vec, int]] = []
@@ -751,7 +752,6 @@ def _frame_minimum(
         om_shares.append((c, dim_ker_v4 - uR2.join([om]).dim + s15(om, zero6, zero4)))
     om_share = min((t[1] for t in om_shares), default=None)
     om_pick = min((t[0] for t in om_shares if t[1] == om_share), default=None)
-    om_count = (p - 1) * sum(n for _, n in d4xy_lines)
 
     examined = 0
     d6_lines = 0
@@ -769,7 +769,7 @@ def _frame_minimum(
             d6_lines += evaluated
             om_zero = zero_vec(len(om_reps))
             options = [
-                (om_count, om_share, (w_coords, om_pick, None)),
+                ((p - 1) * om_lines, om_share, (w_coords, om_pick, None)),
                 (p ** len(tau_reps), s42_zero + t_share, (w_coords, om_zero, t_coords)),
             ]
         for count, share, parts in options:
