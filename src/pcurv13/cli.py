@@ -5,6 +5,12 @@ catalog enumeration), ``group`` (build/analyze multiplication tables),
 ``fixedpoint`` (profile census, exact-sequence solver, divisibility
 obstruction), ``ss`` (spectral-sequence verdict) and ``theorem-a`` (the
 full case engine).  Exit code 0 on success, 2 on invalid input.
+
+The nine leaf commands sit in one table.  A call builds the parser of the
+command it invokes only, with its group's parser and the top-level one, so
+``group analyze`` builds three parsers and ``theorem-a`` two.  A call that
+names no command (help, a missing or unknown subcommand) builds them all.
+Help texts, error messages and exit codes are those of the full parser.
 """
 
 from __future__ import annotations
@@ -296,7 +302,94 @@ def cmd_theorem_a(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GROUP_HELP = {
+    "bazaikin": "parameter admissibility and catalog",
+    "group": "finite group tables",
+    "fixedpoint": "fixed-point bookkeeping",
+    "ss": "spectral-sequence engine",
+}
+
+# every leaf command: its path, its help, its arguments as (flags, keyword
+# arguments) pairs and its handler; a group's leaves sit together, in the
+# order that help lists them
+_LEAVES = (
+    (
+        ("bazaikin", "check"), "check one weight tuple",
+        [(("q",), dict(nargs=5, type=int, metavar="qi")),
+         (("--json",), dict(action="store_true"))],
+        cmd_bazaikin_check,
+    ),
+    (
+        ("bazaikin", "enumerate"), "catalog admissible tuples",
+        [(("--bound",), dict(type=int, required=True)),
+         (("--format",), dict(choices=("json", "tsv"), default="json"))],
+        cmd_bazaikin_enumerate,
+    ),
+    (
+        ("group", "build"), "emit a multiplication table",
+        [(("--burnside",), dict(nargs=3, type=int, metavar=("M", "N", "R"))),
+         (("--name",), dict(type=str)),
+         (("--out",), dict(type=str))],
+        cmd_group_build,
+    ),
+    (
+        ("group", "analyze"), "analyze a table file",
+        [(("--in",), dict(dest="infile", required=True)),
+         (("--json",), dict(action="store_true"))],
+        cmd_group_analyze,
+    ),
+    (
+        ("fixedpoint", "profiles"), "census of fixed-set profiles",
+        [(("--budget",), dict(type=int, default=6)),
+         (("--dim",), dict(type=int, default=5)),
+         (("--json",), dict(action="store_true"))],
+        cmd_fixedpoint_profiles,
+    ),
+    (
+        ("fixedpoint", "gysin"), "solve the circle-quotient sequence",
+        [(("--space",), dict(required=True)),
+         (("--fixed",), dict(default="empty"))],
+        cmd_fixedpoint_gysin,
+    ),
+    (
+        ("fixedpoint", "obstruct"), "divisibility obstruction",
+        [(("--group",), dict(required=True, help="cd:D or zpxzp:P")),
+         (("--lef",), dict(required=True, help="comma-separated integers"))],
+        cmd_fixedpoint_obstruct,
+    ),
+    (
+        ("ss", "verify"), "exhaustive differential sweep",
+        [(("--p",), dict(type=int, required=True)),
+         (("--trace",), dict(action="store_true")),
+         (("--stats",), dict(
+             action="store_true",
+             help="add frame, orbit and line counts and the time of each stage",
+         ))],
+        cmd_ss_verify,
+    ),
+    (
+        ("theorem-a",), "full case engine",
+        [(("--rank",), dict(type=int, choices=(2, 3), required=True)),
+         (("--cohomology",), dict(
+             choices=(pipeline.RATIONAL, pipeline.MOD3), default=pipeline.RATIONAL,
+         )),
+         (("--json",), dict(action="store_true")),
+         (("--explain",), dict(action="store_true"))],
+        cmd_theorem_a,
+    ),
+)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv: only the leaf command whose path argv starts
+    with, under its group parser, or every leaf when argv names none
+    (help, a missing or unknown subcommand).
+
+    A leaf parses its arguments without looking at its siblings.  The one
+    place a leaf-only build could differ is the top-level usage line, which
+    an unrecognized-argument error prints: its metavar lists every command,
+    as the full build's choices do."""
+    named = [leaf for leaf in _LEAVES if tuple(argv[: len(leaf[0])]) == leaf[0]]
     ap = argparse.ArgumentParser(
         prog="pcurv13",
         description=(
@@ -304,73 +397,25 @@ def build_parser() -> argparse.ArgumentParser:
             "curved 13-manifolds with torus symmetry"
         ),
     )
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    bz = sub.add_parser("bazaikin", help="parameter admissibility and catalog")
-    bzsub = bz.add_subparsers(dest="sub", required=True)
-    chk = bzsub.add_parser("check", help="check one weight tuple")
-    chk.add_argument("q", nargs=5, type=int, metavar="qi")
-    chk.add_argument("--json", action="store_true")
-    chk.set_defaults(func=cmd_bazaikin_check)
-    en = bzsub.add_parser("enumerate", help="catalog admissible tuples")
-    en.add_argument("--bound", type=int, required=True)
-    en.add_argument("--format", choices=("json", "tsv"), default="json")
-    en.set_defaults(func=cmd_bazaikin_enumerate)
-
-    gp = sub.add_parser("group", help="finite group tables")
-    gpsub = gp.add_subparsers(dest="sub", required=True)
-    gb = gpsub.add_parser("build", help="emit a multiplication table")
-    gb.add_argument("--burnside", nargs=3, type=int, metavar=("M", "N", "R"))
-    gb.add_argument("--name", type=str)
-    gb.add_argument("--out", type=str)
-    gb.set_defaults(func=cmd_group_build)
-    ga = gpsub.add_parser("analyze", help="analyze a table file")
-    ga.add_argument("--in", dest="infile", required=True)
-    ga.add_argument("--json", action="store_true")
-    ga.set_defaults(func=cmd_group_analyze)
-
-    fp = sub.add_parser("fixedpoint", help="fixed-point bookkeeping")
-    fpsub = fp.add_subparsers(dest="sub", required=True)
-    pr = fpsub.add_parser("profiles", help="census of fixed-set profiles")
-    pr.add_argument("--budget", type=int, default=6)
-    pr.add_argument("--dim", type=int, default=5)
-    pr.add_argument("--json", action="store_true")
-    pr.set_defaults(func=cmd_fixedpoint_profiles)
-    gy = fpsub.add_parser("gysin", help="solve the circle-quotient sequence")
-    gy.add_argument("--space", required=True)
-    gy.add_argument("--fixed", default="empty")
-    gy.set_defaults(func=cmd_fixedpoint_gysin)
-    ob = fpsub.add_parser("obstruct", help="divisibility obstruction")
-    ob.add_argument("--group", required=True, help="cd:D or zpxzp:P")
-    ob.add_argument("--lef", required=True, help="comma-separated integers")
-    ob.set_defaults(func=cmd_fixedpoint_obstruct)
-
-    ssp = sub.add_parser("ss", help="spectral-sequence engine")
-    sssub = ssp.add_subparsers(dest="sub", required=True)
-    vf = sssub.add_parser("verify", help="exhaustive differential sweep")
-    vf.add_argument("--p", type=int, required=True)
-    vf.add_argument("--trace", action="store_true")
-    vf.add_argument(
-        "--stats", action="store_true",
-        help="add frame, orbit and line counts and the time of each stage",
-    )
-    vf.set_defaults(func=cmd_ss_verify)
-
-    ta = sub.add_parser("theorem-a", help="full case engine")
-    ta.add_argument("--rank", type=int, choices=(2, 3), required=True)
-    ta.add_argument(
-        "--cohomology", choices=(pipeline.RATIONAL, pipeline.MOD3),
-        default=pipeline.RATIONAL,
-    )
-    ta.add_argument("--json", action="store_true")
-    ta.add_argument("--explain", action="store_true")
-    ta.set_defaults(func=cmd_theorem_a)
+    commands = "{" + ",".join(dict.fromkeys(path[0] for path, *_ in _LEAVES)) + "}"
+    top = ap.add_subparsers(dest="cmd", required=True, metavar=commands if named else None)
+    subparsers = {(): top}
+    for path, help_text, arguments, func in named or _LEAVES:
+        group = path[:-1]
+        if group not in subparsers:
+            gp = top.add_parser(group[0], help=_GROUP_HELP[group[0]])
+            subparsers[group] = gp.add_subparsers(dest="sub", required=True)
+        leaf = subparsers[group].add_parser(path[-1], help=help_text)
+        for flags, kwargs in arguments:
+            leaf.add_argument(*flags, **kwargs)
+        leaf.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

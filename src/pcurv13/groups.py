@@ -18,8 +18,12 @@ tables are built in one broadcast over (i, j, i', j').
 
 The table itself is a read-only numpy array; queries that walk subgroups
 use plain Python sets over indices.  A subgroup closure grows a frontier by
-right multiplication with its generators, and element orders come from one
-power walk per cyclic subgroup, so both cost a few lookups per element.
+right multiplication with its generators, walking each generator's column
+as a Python list, and element orders come from one power walk per cyclic
+subgroup, so both cost a few lookups per element.  The generating set that
+validation computes grows each closure from the last one, starting from the
+last closure times the new generator.  Membership of a product array in a
+subset is one index into a boolean mask of the subset.
 
 Subgroup patterns take two searches: one abelian-product search grows
 Z_p x Z_p, Z9xZ3 or Z3^3 a generator at a time over a numpy mask of the
@@ -112,11 +116,12 @@ class GroupTable:
         return int(self.table[self.table[g, h], self.inverse[g]])
 
     def cyclic_span(self, g: int) -> frozenset[int]:
+        column = self.table[:, g].tolist()
         out = [0]
         x = g
         while x != 0:
             out.append(x)
-            x = int(self.table[x, g])
+            x = column[x]
         return frozenset(out)
 
     @property
@@ -165,7 +170,7 @@ def _validate_table(arr: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.nd
         raise GroupError("index 0 is not a two-sided identity")
     gens = _generating_set(arr)
     for a in gens:
-        if not np.array_equal(arr[arr[:, a], :], arr[:, arr[a, :]]):
+        if not np.array_equal(arr[arr[:, a], :], arr.take(arr[a, :], axis=1)):
             raise GroupError(f"associativity fails through element {a}")
     return (gens, *_element_orders(arr))
 
@@ -175,23 +180,31 @@ def _closure_indices(table: np.ndarray, seed: Iterable[int], cap: int | None = N
 
     In a finite group the monoid a set generates is the subgroup, so a
     frontier grown by right multiplication with the seed reaches all of it
-    in |H| * |seed| table lookups.
+    in |H| * |seed| lookups, each in a seed element's column as a list.
     """
-    gens = {int(s) for s in seed} - {0}
+    columns = [table[:, g].tolist() for g in {int(s) for s in seed} - {0}]
     elems = {0}
-    frontier = [0]
+    if not _grow_closure(columns, elems, [0], cap):
+        return None
+    return tuple(sorted(elems))
+
+
+def _grow_closure(columns: list[list[int]], elems: set[int], frontier: list[int], cap: int | None = None) -> bool:
+    """Add to elems everything the frontier, already in elems, reaches by
+    right multiplication with the columns' elements; False, with elems
+    part-grown, once it holds more than cap."""
     while frontier:
         grown = []
-        for a in frontier:
-            for g in gens:
-                b = table.item(a, g)
+        for col in columns:
+            for a in frontier:
+                b = col[a]
                 if b not in elems:
                     elems.add(b)
                     grown.append(b)
         if cap is not None and len(elems) > cap:
-            return None
+            return False
         frontier = grown
-    return tuple(sorted(elems))
+    return True
 
 
 def _generating_set(table: np.ndarray) -> tuple[int, ...]:
@@ -199,16 +212,28 @@ def _generating_set(table: np.ndarray) -> tuple[int, ...]:
     the identity, so each closure holds the new element and the loop ends.
     In a group each closure is a subgroup strictly containing the last, so
     its order is a multiple of the last one's: checking that rejects a
-    non-group early and keeps the set to at most log2(n) elements."""
+    non-group early and keeps the set to at most log2(n) elements.
+
+    Each closure grows from the last one, which is closed under the earlier
+    generators: its first frontier is the last closure times the new
+    generator, and every generator applies after that.  The result is the
+    closure of 0 under right multiplication by all of them, in any table."""
     n = table.shape[0]
     gens: list[int] = []
-    have: tuple[int, ...] = (0,)
-    while len(have) < n:
-        gens.append(next((i for i, h in enumerate(have) if i != h), len(have)))
-        grown = _closure_indices(table, gens)
-        if len(grown) % len(have):
-            raise GroupError(f"closures of {len(have)} and {len(grown)} elements break Lagrange's theorem")
-        have = grown
+    columns: list[list[int]] = []
+    elems = {0}
+    g = 0
+    while len(elems) < n:
+        while g in elems:
+            g += 1
+        gens.append(g)
+        columns.append(table[:, g].tolist())
+        size = len(elems)
+        frontier = list({columns[-1][a] for a in elems} - elems)
+        elems.update(frontier)
+        _grow_closure(columns, elems, frontier)
+        if len(elems) % size:
+            raise GroupError(f"closures of {size} and {len(elems)} elements break Lagrange's theorem")
     return tuple(gens)
 
 
@@ -225,8 +250,7 @@ class SubgroupHandle:
         if 0 not in elems:
             raise GroupError("subgroup must contain the identity")
         arr = np.array(elems)
-        prods = self.parent.table[np.ix_(arr, arr)]
-        if not np.isin(prods, arr).all():
+        if not _subset_mask(self.parent.order, arr)[self.parent.table[np.ix_(arr, arr)]].all():
             raise GroupError("element set is not closed under multiplication")
 
     @classmethod
@@ -640,16 +664,22 @@ def normal_rank(G: GroupTable, p: int) -> int:
         level = nxt
 
 
+def _subset_mask(n: int, elems: np.ndarray) -> np.ndarray:
+    """Boolean mask of elems among 0..n-1: indexing it with a product array
+    tests membership without the sort np.isin makes."""
+    mask = np.zeros(n, dtype=bool)
+    mask[elems] = True
+    return mask
+
+
 def _is_normal_set(G: GroupTable, elems: Iterable[int]) -> bool:
     """Whether g S g^-1 is inside S for every generator g, which is enough:
     S is finite, so each such g maps S onto S, and the elements that do form
     a subgroup containing every generator."""
     arr = np.fromiter(elems, dtype=np.int64)
-    mask = np.zeros(G.order, dtype=bool)
-    mask[arr] = True
     gens = np.array(G.generators, dtype=np.int64)
     conj = G.table[G.table[gens[:, None], arr[None, :]], G.inverse[gens][:, None]]
-    return bool(mask[conj].all())
+    return bool(_subset_mask(G.order, arr)[conj].all())
 
 
 def normal_p_complement(G: GroupTable, p: int) -> Optional[SubgroupHandle]:
@@ -665,7 +695,7 @@ def normal_p_complement(G: GroupTable, p: int) -> Optional[SubgroupHandle]:
         part //= p
     if len(coprime) != part:
         return None
-    if not np.isin(G.table[np.ix_(coprime, coprime)], coprime).all():
+    if not _subset_mask(G.order, coprime)[G.table[np.ix_(coprime, coprime)]].all():
         return None
     return SubgroupHandle._closed(G, tuple(coprime.tolist()))
 

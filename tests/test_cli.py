@@ -1,15 +1,21 @@
+import argparse
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcurv13 import gates
+from pcurv13 import cli, gates
 from pcurv13 import groups as gr
 from pcurv13 import spectral as ss
 from pcurv13.cli import main
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -404,3 +410,102 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for line in commands:
         code, _, err = run_cli(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)
+
+
+LEAVES = [
+    ("bazaikin", "check"), ("bazaikin", "enumerate"), ("group", "build"),
+    ("group", "analyze"), ("fixedpoint", "profiles"), ("fixedpoint", "gysin"),
+    ("fixedpoint", "obstruct"), ("ss", "verify"), ("theorem-a",),
+]
+
+
+def parse_outcome(capsys, parser, argv):
+    """Exit code, stdout and stderr of a parse that help or an error ends."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def parsers_built(monkeypatch, argv):
+    """build_parser(argv) and the number of ArgumentParser objects it made."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "__init__", counting)
+        parser = cli.build_parser(argv)
+    return parser, len(built)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*leaf, "--help"] for leaf in LEAVES]
+    + [[*leaf, "--no-such-option"] for leaf in LEAVES]
+    + [["--help"], ["group", "analyse"], []]
+    # unrecognized arguments, which the top-level usage line reports
+    + [["group", "analyze", "--in", "g.grp", "extra"], ["theorem-a", "--rank", "3", "extra"]]
+    + [[group, "--help"] for group in ("bazaikin", "group", "fixedpoint", "ss")],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_leaf_parser_prints_and_exits_as_the_full_parser(argv, capsys, monkeypatch):
+    parser, built = parsers_built(monkeypatch, argv)
+    named = [leaf for leaf in LEAVES if tuple(argv[: len(leaf)]) == leaf]
+    assert built == (len(named[0]) + 1 if named else 14)
+    leaf_only = parse_outcome(capsys, parser, argv)
+    assert leaf_only == parse_outcome(capsys, cli.build_parser(), argv)
+    assert leaf_only[0] in (0, 2)
+
+
+COUNT_PARSERS = """
+import argparse, sys
+from pcurv13 import cli
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+code = cli.main(sys.argv[1:])
+sys.stderr.write(f"parsers {built}\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [(["group", "analyze", "--in", "{table}", "--json"], 3), (["theorem-a", "--rank", "3", "--json"], 2)],
+    ids=["group analyze", "theorem-a"],
+)
+def test_a_call_builds_only_its_own_parsers(argv, parsers, tmp_path):
+    table = tmp_path / "z3.grp"
+    with open(table, "w", encoding="utf-8") as fh:
+        gr.write_group_file(gr.build_standard("Z3"), fh)
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_PARSERS, *(a.format(table=table) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"parsers {parsers}"
+
+
+def test_python_dash_m_pcurv13_reads_its_command_line(capsys):
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "pcurv13", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+        )
+
+    helped = run_module("--help")
+    assert helped.returncode == 0, helped.stderr
+    assert helped.stdout.startswith("usage: pcurv13 ")
+    proc = run_module("theorem-a", "--rank", "3", "--json")
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, "theorem-a", "--rank", "3", "--json")
+    assert code == 0
+    assert proc.stdout == out

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -237,6 +238,67 @@ def test_a_non_group_fails_at_its_second_generator():
     T[0] = T[:, 0] = np.arange(n)
     with pytest.raises(gr.GroupError, match="closures of 2 and 3 elements break Lagrange's theorem"):
         gr.GroupTable(T)
+
+
+def generating_set_from_scratch(table):
+    """The generating set with every closure rebuilt from 0 after each new
+    generator, as it was before closures grew from the last one."""
+    n = table.shape[0]
+    gens, have = [], (0,)
+    while len(have) < n:
+        gens.append(next((i for i, h in enumerate(have) if i != h), len(have)))
+        grown = gr._closure_indices(table, gens)
+        if len(grown) % len(have):
+            raise gr.GroupError(f"closures of {len(have)} and {len(grown)} elements break Lagrange's theorem")
+        have = grown
+    return tuple(gens)
+
+
+def generating_set_outcome(find, table):
+    try:
+        return find(table)
+    except gr.GroupError as exc:
+        return str(exc)
+
+
+def tables_built_from_a_name():
+    """Every group that a test file here builds with build_standard("...")."""
+    text = "".join(path.read_text() for path in Path(__file__).parent.glob("test_*.py"))
+    out = []
+    for name in sorted(set(re.findall(r'build_standard\("([^"]+)"\)', text))):
+        try:
+            out.append(gr.build_standard(name))
+        except gr.GroupError:  # the names a test expects to be rejected
+            continue
+    return out
+
+
+def test_generating_set_matches_the_from_scratch_closures():
+    named = tables_built_from_a_name()
+    assert len(named) >= 20  # the regex still finds the names
+    for G in named + oracle_groups():
+        assert gr._generating_set(G.table) == generating_set_from_scratch(G.table), G
+
+
+def test_generating_set_rejects_a_lagrange_breaking_magma_as_before():
+    # closures {0, 1} and then {0, 1, 2}
+    T = np.array([[0, 1, 2], [1, 1, 0], [2, 0, 0]], dtype=np.int16)
+    for find in (gr._generating_set, generating_set_from_scratch):
+        with pytest.raises(gr.GroupError, match="closures of 2 and 3 elements break Lagrange's theorem"):
+            find(T)
+
+
+def test_generating_set_matches_the_from_scratch_closures_on_every_single_cell_change():
+    for name in ("Z6", "S3", "Z2xZ4", "Z2xZ2xZ2"):
+        G = gr.build_standard(name)
+        n = G.order
+        for a, b, v in product(range(1, n), range(1, n), range(n)):
+            T = np.array(G.table)
+            T[a, b] = v
+            assert generating_set_outcome(gr._generating_set, T) == generating_set_outcome(
+                generating_set_from_scratch, T
+            ), (name, a, b, v)
+
 
 def test_every_table_is_int16(tmp_path):
     assert gr.ORDER_CAP - 1 <= np.iinfo(np.int16).max  # every index fits
