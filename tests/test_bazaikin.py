@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -304,3 +308,33 @@ def test_enumerate_even_bound_equals_the_odd_bound_below():
 def test_enumerate_rejects_bad_bound():
     with pytest.raises(ValueError):
         bz.enumerate_spaces(0)
+
+
+@pytest.mark.parametrize(
+    "name, replacement, message",
+    [
+        ("canonicalize", "lambda q: tuple(-x for x in q)", "is not canonical"),
+        ("check_curvature", "lambda q: bz.Curvature.MIXED", "is not positively curved"),
+    ],
+)
+def test_enumerate_gates_survive_optimize_flag(name, replacement, message):
+    """With the canonical form or the curvature check broken, enumeration
+    stops at a proof gate also under ``python -O``, which strips asserts."""
+    script = f"""
+import sys
+from pcurv13 import bazaikin as bz, gates
+print("optimize:", sys.flags.optimize)
+bz.{name} = {replacement}
+try:
+    bz.enumerate_spaces(3)
+except gates.ProofGateError as exc:
+    print("gate:", exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(bz.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "optimize: 1" in proc.stdout and message in proc.stdout

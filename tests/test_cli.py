@@ -88,6 +88,35 @@ def test_group_build_stdout_and_analyze(tmp_path, capsys):
     assert data["davis"] == {"a": 0, "two_part": 1, "odd_order": 21}
 
 
+# groups of several orders, abelian or not, with normal and non-normal,
+# cyclic and non-cyclic Sylow subgroups, p-groups among them
+ANALYZE_SET = (
+    "Z12", "S3", "Z3xS3", "Z2xZ4", "Z2xZ2xZ2", "U33", "Z9semiZ3", "Z9xZ3",
+    "Z3xZ3xZ3xZ3", "B(5,4,2)", "Z6xBurnside(7,3,2)", "Z16xU33",
+)
+
+
+def analyze_set_outputs(tmp_path, capsys):
+    """`group analyze --json` of each ANALYZE_SET table, written with
+    write_group_file, concatenated in order."""
+    outputs = []
+    for i, name in enumerate(ANALYZE_SET):
+        path = tmp_path / f"{i}.grp"
+        with open(path, "w", encoding="utf-8") as fh:
+            gr.write_group_file(gr.build_standard(name), fh)
+        code, out, _ = run_cli(capsys, "group", "analyze", "--in", str(path), "--json")
+        assert code == 0, name
+        outputs.append(out)
+    return "".join(outputs)
+
+
+def test_group_analyze_pinned(tmp_path, capsys):
+    out = analyze_set_outputs(tmp_path, capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ef32d408e1effac1659e1b6f84a9f7f39aea4b3c5d3e8f5186f9b60df3886f2e"
+    )
+
+
 def test_group_build_name_roundtrip(tmp_path, capsys):
     path = tmp_path / "u.grp"
     code, _, _ = run_cli(capsys, "group", "build", "--name", "U33", "--out", str(path))

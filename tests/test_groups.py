@@ -840,6 +840,70 @@ def test_davis_decomposition():
     assert a == 1 and N.order == 9
 
 
+# --- centre and Sylow facts against built subgroups --------------------------
+
+# every group the tests build by name
+NAMED_IN_TESTS = (
+    "B(7,3,2)", "Burnside(7,3,2)", "S3", "S3xU33", "U33", "U33xZ3xZ3", "Z12", "Z15",
+    "Z16xU33", "Z27", "Z27xZ3", "Z27xZ9", "Z2xZ2", "Z2xZ2xZ2", "Z2xZ4", "Z3", "Z3xS3",
+    "Z3xU33", "Z3xZ3", "Z3xZ3xZ3", "Z3xZ3xZ3xZ3", "Z3xZ9", "Z3xZ9semiZ3", "Z4", "Z45",
+    "Z5", "Z5xZ3xZ3", "Z6", "Z6xBurnside(7,3,2)", "Z81", "Z9", "Z9semiZ3",
+    "Z9semiZ3xZ3xZ3", "Z9xU33", "Z9xZ3", "Z9xZ3xZ3", "Z9xZ9",
+)
+
+
+@pytest.fixture(scope="module")
+def fact_groups():
+    """The named groups and every Burnside group of order <= 100, among them
+    S3 and B(5,4,2), whose Sylow 2-subgroup is cyclic but not normal."""
+    named = [gr.build_standard(name) for name in NAMED_IN_TESTS]
+    return named + [gr.build_burnside(p) for p in gr.enumerate_burnside_params(100)]
+
+
+def central_by_element(G):
+    """Elements whose row equals their column, compared one element at a time."""
+    return tuple(g for g in range(G.order) if (G.table[g, :] == G.table[:, g]).all())
+
+
+def test_centre_facts_match_per_element_oracle(fact_groups):
+    for G in fact_groups:
+        centre = central_by_element(G)
+        assert G.center() == centre, G.name
+        assert G.is_abelian == (len(centre) == G.order), G.name
+        involutions = set(np.flatnonzero(G.element_order == 2).tolist())
+        assert gr.two_p_condition(G) == (involutions <= set(centre)), G.name
+
+
+def davis_by_sylow(G):
+    """(2-part, odd order) of davis_decomposition, read off a built Sylow
+    2-subgroup: a normal 2-complement, and P cyclic and normal."""
+    if G.order % 2:
+        return 1, G.order
+    N, P = gr.normal_p_complement(G, 2), gr.sylow(G, 2)
+    if N is None or not P.is_cyclic or not P.is_normal:
+        return None
+    return P.order, N.order
+
+
+def test_sylow_facts_match_built_sylow_subgroups(fact_groups):
+    """A Sylow p-subgroup of order p^a is cyclic iff some element has order
+    p^a, and normal iff G has exactly p^a elements of p-power order."""
+    for G in fact_groups:
+        for p in gr.prime_divisors(G.order):
+            P = gr.sylow(G, p)
+            assert bool((G.element_order == P.order).any()) == P.is_cyclic, (G.name, p)
+            p_power = int((P.order % G.element_order == 0).sum())
+            assert (p_power == P.order) == P.is_normal, (G.name, p)
+        got = gr.davis_decomposition(G)
+        assert (None if got is None else (got[0], got[1].order)) == davis_by_sylow(G), G.name
+    # a normal 2-complement and a cyclic Sylow 2-subgroup that is not normal
+    for name in ("S3", "B(5,4,2)"):
+        G = gr.build_standard(name)
+        P = gr.sylow(G, 2)
+        assert gr.normal_p_complement(G, 2) and P.is_cyclic and not P.is_normal
+        assert gr.davis_decomposition(G) is None
+
+
 # --- standard catalog, files, isomorphism ---------------------------------
 
 
