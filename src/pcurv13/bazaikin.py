@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .gates import ProofGateError
+from .gates import _gate
 
 IndexPair = tuple[int, int]
 
@@ -37,8 +37,7 @@ DISJOINT_PAIR_COMBINATIONS: tuple[tuple[IndexPair, IndexPair], ...] = tuple(
     for b in combinations(range(5), 2)
     if set(a).isdisjoint(b) and a < b
 )
-if len(DISJOINT_PAIR_COMBINATIONS) != 15:
-    raise ProofGateError("five indices do not give 15 disjoint pairs of pairs")
+_gate(len(DISJOINT_PAIR_COMBINATIONS) == 15, "five indices do not give 15 disjoint pairs of pairs")
 
 
 class Curvature(enum.Enum):
@@ -175,6 +174,9 @@ def mod3_type(q: Sequence[int]) -> str:
     return MOD3_CP4xS5 if e3(q) % 3 == 0 else MOD3_CP2xS9
 
 
+MAX_ENUMERATE_BOUND = 49
+
+
 def enumerate_spaces(bound: int) -> list[tuple[int, ...]]:
     """All canonical admissible tuples with max|q_i| <= bound and positive
     curvature; sorted lexicographically, duplicate-free.
@@ -186,10 +188,13 @@ def enumerate_spaces(bound: int) -> list[tuple[int, ...]]:
     nonincreasing, and an odd q5 with -q4 < q5 <= q4 (3289 at bound 19, of
     42504 odd multisets), each met once.  Freeness filters them as built;
     a returned tuple that is not canonical or not positively curved
-    raises ``ProofGateError``.
+    raises ``ProofGateError``.  The cost grows like bound^5, so a bound
+    above MAX_ENUMERATE_BOUND (18981 spaces, a few seconds) is rejected.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if bound > MAX_ENUMERATE_BOUND:
+        raise ValueError(f"bound must be at most {MAX_ENUMERATE_BOUND}")
     positive_odd = range(bound if bound % 2 else bound - 1, 0, -2)
     spaces = []
     for q1, q2, q3, q4 in combinations_with_replacement(positive_odd, 4):
@@ -197,9 +202,10 @@ def enumerate_spaces(bound: int) -> list[tuple[int, ...]]:
             q = (q1, q2, q3, q4, q5)
             if not _freeness(q).verdict:
                 continue
-            if q != canonicalize(q):
-                raise ProofGateError(f"enumerated tuple {q} is not canonical")
-            if check_curvature(q) is not Curvature.POSITIVE_ALL:
-                raise ProofGateError(f"enumerated tuple {q} is not positively curved")
+            _gate(q == canonicalize(q), f"enumerated tuple {q} is not canonical")
+            _gate(
+                check_curvature(q) is Curvature.POSITIVE_ALL,
+                f"enumerated tuple {q} is not positively curved",
+            )
             spaces.append(q)
     return sorted(spaces)

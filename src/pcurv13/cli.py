@@ -135,7 +135,7 @@ def cmd_group_analyze(args) -> int:
         "order": G.order,
         "abelian": G.is_abelian,
         "exponent": G.exponent,
-        "sylow": {str(p): groups.sylow(G, p).is_cyclic for p in primes},
+        "sylow": {str(p): groups.sylow_is_cyclic(G, p) for p in primes},
         "p2": {str(p): groups.p2_condition(G, p) for p in primes},
         "two_p": groups.two_p_condition(G),
         "min_cyclic_index": groups.min_cyclic_index(G),
@@ -251,12 +251,12 @@ def cmd_ss_verify(args) -> int:
         # self-check: the page engine, independent of the sweep's factored
         # minimum, must leave the same number of degree-6 survivors
         pages = spectral.run_choice_pages(args.p, report.minimizing_choice)
-        if pages[-1].total_degree(6) != report.min_deg6_survivors:
-            raise gates.ProofGateError(
-                f"the page engine leaves {pages[-1].total_degree(6)} degree-6 "
-                f"survivors for the minimizing choice; the sweep reports "
-                f"{report.min_deg6_survivors}"
-            )
+        gates._gate(
+            pages[-1].total_degree(6) == report.min_deg6_survivors,
+            f"the page engine leaves {pages[-1].total_degree(6)} degree-6 "
+            f"survivors for the minimizing choice; the sweep reports "
+            f"{report.min_deg6_survivors}",
+        )
         payload["minimizing_choice"] = dataclasses.asdict(report.minimizing_choice)
         payload["pages"] = [
             {

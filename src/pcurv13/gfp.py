@@ -3,7 +3,8 @@
 Everything here works on tuples of ints in [0, p).  Matrices are tuples of
 row vectors.  Dimensions in this package are tiny (at most 8), so the
 implementation favours clarity and hashability over speed; hot loops cache
-reduced bases.
+reduced bases.  One elimination loop, _eliminate, serves both rref and
+Subspace.reduce.
 """
 
 from __future__ import annotations
@@ -21,34 +22,36 @@ def is_zero(u: Sequence[int]) -> bool:
     return not any(u)
 
 
+def _eliminate(row: Sequence[int], basis: Sequence[Sequence[int]], pivots: Sequence[int], p: int) -> Sequence[int]:
+    """row minus the multiples of the basis rows that clear its entry at
+    each one's pivot.  Each basis row has entry 1 at its pivot and 0 at the
+    others, so clearing one pivot leaves the others as they are."""
+    for b, j in zip(basis, pivots):
+        c = row[j]
+        if c:
+            row = [(x - c * y) % p for x, y in zip(row, b)]
+    return row
+
+
 def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Vec, ...]:
-    """Reduced row echelon form; zero rows dropped, rows sorted by pivot."""
-    work = [list(r) for r in rows if not is_zero(r)]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    basis: list[list[int]] = []  # kept in echelon order
+    """Reduced row echelon form; zero rows dropped, rows sorted by pivot.
+
+    Each row is reduced by the basis kept so far; what is left, scaled to a
+    leading 1, is cleared from the earlier rows at its pivot and joins them."""
+    basis: list[Sequence[int]] = []
     pivots: list[int] = []
-    for row in work:
-        row = row[:]
-        for b, j in zip(basis, pivots):
-            if row[j]:
-                c = row[j]
-                row = [(x - c * y) % p for x, y in zip(row, b)]
+    for row in rows:
+        row = _eliminate(row, basis, pivots, p)
         j = next((k for k, x in enumerate(row) if x), None)
-        if j is None:
-            continue
-        inv = pow(row[j], p - 2, p)
-        row = [(inv * x) % p for x in row]
-        # back-substitute into existing rows
-        for i, (b, jb) in enumerate(zip(basis, pivots)):
-            if b[j]:
-                c = b[j]
-                basis[i] = [(x - c * y) % p for x, y in zip(b, row)]
-        basis.append(row)
-        pivots.append(j)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return tuple(tuple(basis[i]) for i in order)
+        if j is not None:
+            inv = pow(row[j], p - 2, p)
+            row = [inv * x % p for x in row]
+            for i, b in enumerate(basis):
+                if b[j]:
+                    basis[i] = _eliminate(b, (row,), (j,), p)
+            basis.append(row)
+            pivots.append(j)
+    return tuple(tuple(basis[i]) for i in sorted(range(len(basis)), key=pivots.__getitem__))
 
 
 class Subspace:
@@ -68,13 +71,7 @@ class Subspace:
 
     def reduce(self, v: Sequence[int]) -> Vec:
         """Residue of v modulo this subspace (zero iff v is a member)."""
-        row = list(v)
-        p = self.p
-        for b, j in zip(self.basis, self._pivots):
-            if row[j]:
-                c = row[j]
-                row = [(x - c * y) % p for x, y in zip(row, b)]
-        return tuple(row)
+        return tuple(_eliminate(v, self.basis, self._pivots, self.p))
 
     def contains(self, v: Sequence[int]) -> bool:
         return is_zero(self.reduce(v))

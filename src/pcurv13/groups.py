@@ -11,6 +11,11 @@ queries are exact searches that the hard cap keeps small; normal_rank
 searches only normal subgroups above the centre, not every elementary
 abelian subgroup, whose number grows exponentially with the rank.
 
+The centre is one cached mask (row equals column) that abelianness,
+center(), the 2p condition and normal_rank read.  Whether a Sylow
+subgroup is cyclic or normal is read off the element orders, so group
+analyze builds none, and one _p_part gives every p-part.
+
 Named groups come from build_standard alone, Burnside groups from
 build_burnside, which returns the table still referenced for the same
 triple, so normal_cyclic_core shares its caller's group.  Metacyclic
@@ -84,7 +89,7 @@ class GroupTable:
     """Immutable finite group on indices 0..n-1 with identity 0."""
 
     __slots__ = (
-        "order", "table", "element_order", "inverse", "name", "generators", "_abelian", "__weakref__",
+        "order", "table", "element_order", "inverse", "name", "generators", "_central", "__weakref__",
     )
 
     def __init__(self, table, name: str = "G"):
@@ -106,7 +111,7 @@ class GroupTable:
         self.order = n
         self.table = arr
         self.name = name
-        self._abelian: Optional[bool] = None
+        self._central: Optional[np.ndarray] = None
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -125,10 +130,16 @@ class GroupTable:
         return frozenset(out)
 
     @property
+    def central(self) -> np.ndarray:
+        """Mask of the central elements, those whose row equals their column."""
+        if self._central is None:
+            self._central = (self.table == self.table.T).all(axis=1)
+            self._central.setflags(write=False)
+        return self._central
+
+    @property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = bool((self.table == self.table.T).all())
-        return self._abelian
+        return bool(self.central.all())
 
     @property
     def exponent(self) -> int:
@@ -138,9 +149,7 @@ class GroupTable:
         return Counter(int(o) for o in self.element_order)
 
     def center(self) -> tuple[int, ...]:
-        return tuple(
-            g for g in range(self.order) if (self.table[g, :] == self.table[:, g]).all()
-        )
+        return tuple(np.flatnonzero(self.central).tolist())
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
@@ -319,18 +328,13 @@ def _product_table(tables: Iterable[np.ndarray]) -> np.ndarray:
 def _metacyclic_table(m: int, n: int, r: int) -> np.ndarray:
     """Raw table on pairs (i mod m, j mod n) with (i,j)(i',j') = (i + r^j i', j+j').
 
-    Requires r^n = 1 (mod m) so the construction is a group (the twisting
-    automorphism has order dividing n).  No coprimality is imposed here;
-    see build_burnside for the classified family.
+    Every caller passes positive m, n with r^n = 1 (mod m), which makes it
+    a group (the twisting automorphism has order dividing n) that GroupTable
+    proves; only the cap is checked, before allocation.  No coprimality is
+    imposed here; see build_burnside for the classified family.
     """
-    if m < 1 or n < 1:
-        raise GroupError("m and n must be positive")
     if m * n > ORDER_CAP:
         raise GroupError(f"order {m * n} exceeds cap {ORDER_CAP}")
-    if pow(r, n, m) != 1 % m:
-        raise GroupError(f"r^n = {pow(r, n, m)} != 1 mod {m}")
-    if gcd(r % m if m > 1 else 1, m) != 1:
-        raise GroupError("r must be invertible mod m")
     # (i, j) has index i*n + j: the entry at row (i, j), column (i', j') is the
     # first coordinate (on m*n*m cells, R_j i' in int64) times n plus the
     # second, added in int16 (every index is below ORDER_CAP)
@@ -387,10 +391,6 @@ class BurnsideParams:
             out.append(f"gcd((r-1)*n, m) = {g} != 1")
         return out
 
-    @property
-    def is_valid(self) -> bool:
-        return _burnside_valid(self.m, self.n, self.r)
-
 
 def _burnside_valid(m: int, n: int, r: int) -> bool:
     """The conditions failing_conditions spells out, without the messages."""
@@ -436,7 +436,7 @@ def burnside_generators(params: BurnsideParams) -> tuple[int, int]:
 
 def burnside_class_d(params: BurnsideParams) -> int:
     """Multiplicative order of r mod m; divides n."""
-    if not params.is_valid:
+    if not _burnside_valid(params.m, params.n, params.r):
         raise GroupError(f"invalid Burnside parameters {params}")
     if params.m == 1:
         return 1
@@ -485,9 +485,7 @@ def sylow(G: GroupTable, p: int) -> SubgroupHandle:
     whose join keeps a p-power order).  Trivial subgroup when p does not
     divide the group order."""
     _require_prime(p)
-    target = 1
-    while G.order % (target * p) == 0:
-        target *= p
+    target = _p_part(G.order, p)
     if target == 1:
         return SubgroupHandle._closed(G, (0,))
     # an element order divides |G|, so it divides the p-part exactly when
@@ -500,7 +498,7 @@ def sylow(G: GroupTable, p: int) -> SubgroupHandle:
             if x in current:
                 continue
             grown = _closure_indices(G.table, gens + [x], cap=target)
-            if grown is not None and _is_p_power(len(grown), p):
+            if grown is not None and _p_part(len(grown), p) == len(grown):
                 gens.append(x)
                 current = set(grown)
                 break
@@ -509,10 +507,12 @@ def sylow(G: GroupTable, p: int) -> SubgroupHandle:
     return SubgroupHandle._closed(G, tuple(sorted(current)))
 
 
-def _is_p_power(k: int, p: int) -> bool:
-    while k % p == 0:
-        k //= p
-    return k == 1
+def _p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    part = 1
+    while n % (part * p) == 0:
+        part *= p
+    return part
 
 
 def _require_prime(p: int) -> None:
@@ -526,18 +526,24 @@ def prime_divisors(n: int) -> list[int]:
     while d * d <= n:
         if n % d == 0:
             out.append(d)
-            while n % d == 0:
-                n //= d
+            n //= _p_part(n, d)
         d += 1
     if n > 1:
         out.append(n)
     return out
 
 
+def sylow_is_cyclic(G: GroupTable, p: int) -> bool:
+    """Whether a Sylow p-subgroup is cyclic: one of order p^a is cyclic iff
+    some element has order p^a."""
+    _require_prime(p)
+    return bool((G.element_order == _p_part(G.order, p)).any())
+
+
 def all_sylow_cyclic(G: GroupTable) -> bool:
-    """Every Sylow subgroup is cyclic: a Sylow p-subgroup of order p^a is
-    cyclic iff some element has order p^a, iff the p-part of the exponent
-    is p^a; so all are iff the exponent equals the order."""
+    """Every Sylow subgroup is cyclic: by the rule of sylow_is_cyclic, iff
+    the p-part of the exponent is that of the order for every p, iff the
+    exponent equals the order."""
     return G.exponent == G.order
 
 
@@ -550,8 +556,7 @@ def p2_condition(G: GroupTable, p: int) -> bool:
 
 def two_p_condition(G: GroupTable) -> bool:
     """True iff every involution is central."""
-    involutions = np.flatnonzero(G.element_order == 2)
-    return bool((G.table[involutions, :] == G.table[:, involutions].T).all())
+    return bool(G.central[G.element_order == 2].all())
 
 
 PATTERNS = ("ZpxZp", "Z9xZ3", "Z3cubed", "U33", "Z9semiZ3")
@@ -639,11 +644,11 @@ def normal_rank(G: GroupTable, p: int) -> int:
     rank of the last nonempty level.
     """
     _require_prime(p)
-    if not _is_p_power(G.order, p):
+    if _p_part(G.order, p) != G.order:
         raise GroupError(f"normal rank needs a {p}-group, got order {G.order}")
     T, inv, gens = G.table, G.inverse, np.array(G.generators, dtype=np.int64)
     order_p = np.flatnonzero(G.element_order == p)
-    level = {frozenset(np.flatnonzero((T == T.T).all(axis=1) & (p % G.element_order == 0)).tolist())}
+    level = {frozenset(np.flatnonzero(G.central & (p % G.element_order == 0)).tolist())}
     while True:
         nxt: set[frozenset[int]] = set()
         for S in level:
@@ -690,10 +695,7 @@ def normal_p_complement(G: GroupTable, p: int) -> Optional[SubgroupHandle]:
     if G.order % p != 0:
         raise GroupError(f"{p} does not divide the group order {G.order}")
     coprime = np.flatnonzero(G.element_order % p != 0)
-    part = G.order
-    while part % p == 0:
-        part //= p
-    if len(coprime) != part:
+    if len(coprime) != G.order // _p_part(G.order, p):
         return None
     if not _subset_mask(G.order, coprime)[G.table[np.ix_(coprime, coprime)]].all():
         return None
@@ -722,17 +724,18 @@ def davis_decomposition(G: GroupTable) -> Optional[tuple[int, SubgroupHandle]]:
     """Internal splitting G = Z_{2^a} x (odd-order part), if one exists.
 
     Requires the odd-order elements to form a subgroup and the Sylow
-    2-subgroup to be cyclic and normal; returns (2^a, odd part).
+    2-subgroup to be cyclic and normal; returns (2^a, odd part).  One of
+    order 2^a is normal iff it holds all 2^a elements of 2-power order.
     """
     if G.order % 2:
         return 1, SubgroupHandle._closed(G, tuple(range(G.order)))
     N = normal_p_complement(G, 2)
     if N is None:
         return None
-    P = sylow(G, 2)
-    if not P.is_cyclic or not P.is_normal:
+    two_part = G.order // N.order
+    if not sylow_is_cyclic(G, 2) or np.count_nonzero(two_part % G.element_order == 0) != two_part:
         return None
-    return G.order // N.order, N
+    return two_part, N
 
 
 # ---------------------------------------------------------------------------
@@ -745,13 +748,11 @@ def is_isomorphic(G: GroupTable, H: GroupTable) -> bool:
         return False
     if G.order_profile() != H.order_profile():
         return False
-    if G.is_abelian != H.is_abelian:
+    if np.count_nonzero(G.central) != np.count_nonzero(H.central):
         return False
     if G.is_abelian:
         # the order profile pins down a finite abelian group
         return True
-    if len(G.center()) != len(H.center()):
-        return False
     return _find_iso(G, H, G.generators, [])
 
 

@@ -537,22 +537,11 @@ def exhaustive_verdict(p: int) -> VerdictReport:
 
 
 def _frame_orbits(p: int) -> list[tuple[Frame, int]]:
-    """(first frame, orbit size) per orbit of GL_2(F_p) x the rescalings.
-
-    The rescalings scale d2 and d3y independently, so an orbit is a union
-    of products of lines: it is built on one point per line (zero, or
-    leading coordinate 1), which the rescalings fix, so only the
-    generators of GL_2(F_p) act, each followed by normalization.  Each
-    nonzero component multiplies the orbit size by p - 1.  Frames are
-    walked in sweep order: d2 lexicographically, then d3y by its
-    coordinates in the kernel basis of d2, so the first point of the
-    reduced orbit is the orbit's first frame."""
-    gens = [(_substitution(p, g, 2), _substitution(p, g, 3)) for g in _gl2_generators(p)]
-
-    def act(g, frame: Frame) -> Frame:
-        a, v = frame
-        return _normalized(p, _combine(p, a, g[0], 3)), _normalized(p, _combine(p, v, g[1], 4))
-
+    """(first frame, number of frames) per orbit of GL_2(F_p) x the
+    rescalings on (d2, d3y) frames, built on one point per product of
+    lines.  Frames are walked in sweep order: d2 lexicographically, then
+    d3y by its coordinates in the kernel basis of d2, so the first point of
+    the reduced orbit is the orbit's first frame."""
     points: list[Frame] = []
     frames = 0
     for a in [zero_vec(3), *_lines(p, 3)]:
@@ -562,10 +551,7 @@ def _frame_orbits(p: int) -> list[tuple[Frame, int]]:
         frames += p ** len(kernel) * (p - 1 if any(a) else 1)
         points.append((a, zero_vec(4)))
         points += [(a, _combine(p, c, kernel, 4)) for c in _lines(p, len(kernel))]
-    orbits = [
-        ((a, v), size * (p - 1) ** (any(a) + any(v)))
-        for (a, v), size in _orbits(points, gens, act)
-    ]
+    orbits = _line_orbits(p, points, (2, 3))
     _gate(
         sum(n for _, n in orbits) == frames,
         "frame orbit sizes do not sum to the frame count",
@@ -574,26 +560,34 @@ def _frame_orbits(p: int) -> list[tuple[Frame, int]]:
 
 
 def _zero_frame_d4x_orbits(p: int) -> list[tuple[Vec, int]]:
-    """(first d4 value, orbit size) per orbit of the same group on R_4,
-    which is where d4 of both the degree-3 and the degree-5 generator lives
-    on the zero frame.
-    The rescalings reach R_4 as every nonzero scalar, so the orbits are
-    built on zero and one point per line, as in ``_frame_orbits``."""
+    """(first d4 value, number of values) per orbit of the same group on
+    R_4, which is where d4 of both the degree-3 and the degree-5 generator
+    lives on the zero frame.  The rescalings reach R_4 as every nonzero
+    scalar, so the orbits are built on zero and one point per line."""
     n = base_dim(4)
-    gens = [_substitution(p, g, 4) for g in _gl2_generators(p)]
-
-    def act(g, w: Vec) -> Vec:
-        return _normalized(p, _combine(p, w, g, n))
-
-    orbits = [
-        (w, size * (p - 1 if any(w) else 1))
-        for w, size in _orbits([zero_vec(n), *_lines(p, n)], gens, act)
-    ]
+    points = [(w,) for w in [zero_vec(n), *_lines(p, n)]]
+    orbits = [(w, size) for (w,), size in _line_orbits(p, points, (4,))]
     _gate(
         sum(size for _, size in orbits) == p**n,
         "zero-frame d4 orbit sizes do not sum to p^5",
     )
     return orbits
+
+
+def _line_orbits(
+    p: int, points: Sequence[tuple[Vec, ...]], degrees: tuple[int, ...]
+) -> list[tuple[tuple[Vec, ...], int]]:
+    """(first point, number of points it stands for) per orbit of GL_2(F_p)
+    x the rescalings on tuples whose i-th entry lies in R_degrees[i].  Each
+    entry is zero or has leading coordinate 1, which the rescalings fix, so
+    only GL_2's generators act, each followed by normalization, and each
+    nonzero entry stands for its p - 1 multiples."""
+    gens = [[(_substitution(p, g, k), base_dim(k)) for k in degrees] for g in _gl2_generators(p)]
+
+    def act(g, point):
+        return tuple([_normalized(p, _combine(p, x, images, n)) for x, (images, n) in zip(point, g)])
+
+    return [(x, size * (p - 1) ** sum(map(any, x))) for x, size in _orbits(points, gens, act)]
 
 
 def _lines(p: int, k: int) -> Iterator[Vec]:

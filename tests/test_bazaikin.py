@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
@@ -308,6 +309,17 @@ def test_enumerate_even_bound_equals_the_odd_bound_below():
 def test_enumerate_rejects_bad_bound():
     with pytest.raises(ValueError):
         bz.enumerate_spaces(0)
+
+
+def test_enumerate_cap_runs_in_time_and_above_it_fails_at_once():
+    start = time.perf_counter()
+    assert len(bz.enumerate_spaces(bz.MAX_ENUMERATE_BOUND)) == 18981
+    assert time.perf_counter() - start < 30
+    for bound in (bz.MAX_ENUMERATE_BOUND + 1, 999999):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"bound must be at most {bz.MAX_ENUMERATE_BOUND}"):
+            bz.enumerate_spaces(bound)
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,14 @@ def test_group_analyze_pinned(tmp_path, capsys):
     )
 
 
+def test_group_analyze_builds_no_sylow_subgroup(tmp_path, capsys, monkeypatch):
+    calls = []
+    sylow = gr.sylow
+    monkeypatch.setattr(gr, "sylow", lambda *args: calls.append(args) or sylow(*args))
+    analyze_set_outputs(tmp_path, capsys)
+    assert calls == []
+
+
 def test_group_build_name_roundtrip(tmp_path, capsys):
     path = tmp_path / "u.grp"
     code, _, _ = run_cli(capsys, "group", "build", "--name", "U33", "--out", str(path))
@@ -387,6 +395,7 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
     "argv, line",
     [
         ("bazaikin enumerate --bound 0", "--bound must be at least 1"),
+        ("bazaikin enumerate --bound 50", "bound must be at most 49"),
         ("group build --burnside 7 3 2 --name Z3", "give either --burnside or --name, not both"),
         ("group build", "one of --burnside m n r or --name NAME is required"),
         (

@@ -844,7 +844,7 @@ def test_davis_decomposition():
 
 # every group the tests build by name
 NAMED_IN_TESTS = (
-    "B(7,3,2)", "Burnside(7,3,2)", "S3", "S3xU33", "U33", "U33xZ3xZ3", "Z12", "Z15",
+    "B(7,3,2)", "S3", "S3xU33", "U33", "U33xZ3xZ3", "Z12", "Z15",
     "Z16xU33", "Z27", "Z27xZ3", "Z27xZ9", "Z2xZ2", "Z2xZ2xZ2", "Z2xZ4", "Z3", "Z3xS3",
     "Z3xU33", "Z3xZ3", "Z3xZ3xZ3", "Z3xZ3xZ3xZ3", "Z3xZ9", "Z3xZ9semiZ3", "Z4", "Z45",
     "Z5", "Z5xZ3xZ3", "Z6", "Z6xBurnside(7,3,2)", "Z81", "Z9", "Z9semiZ3",
@@ -868,6 +868,7 @@ def central_by_element(G):
 def test_centre_facts_match_per_element_oracle(fact_groups):
     for G in fact_groups:
         centre = central_by_element(G)
+        assert tuple(np.flatnonzero(G.central).tolist()) == centre, G.name
         assert G.center() == centre, G.name
         assert G.is_abelian == (len(centre) == G.order), G.name
         involutions = set(np.flatnonzero(G.element_order == 2).tolist())
@@ -891,7 +892,7 @@ def test_sylow_facts_match_built_sylow_subgroups(fact_groups):
     for G in fact_groups:
         for p in gr.prime_divisors(G.order):
             P = gr.sylow(G, p)
-            assert bool((G.element_order == P.order).any()) == P.is_cyclic, (G.name, p)
+            assert gr.sylow_is_cyclic(G, p) == P.is_cyclic, (G.name, p)
             p_power = int((P.order % G.element_order == 0).sum())
             assert (p_power == P.order) == P.is_normal, (G.name, p)
         got = gr.davis_decomposition(G)
@@ -902,6 +903,16 @@ def test_sylow_facts_match_built_sylow_subgroups(fact_groups):
         P = gr.sylow(G, 2)
         assert gr.normal_p_complement(G, 2) and P.is_cyclic and not P.is_normal
         assert gr.davis_decomposition(G) is None
+
+
+def test_p_part_matches_prime_divisors():
+    for n in range(1, 1025):
+        primes = gr.prime_divisors(n)
+        parts = [gr._p_part(n, p) for p in primes]
+        assert prod(parts) == n
+        for p, part in zip(primes, parts):
+            assert gr.prime_divisors(part) == [p] and (n // part) % p, (n, p)
+        assert all(gr._p_part(n, q) == 1 for q in (2, 3, 5, 7, 11) if q not in primes)
 
 
 # --- standard catalog, files, isomorphism ---------------------------------
