@@ -300,6 +300,23 @@ def test_enumerate_matches_exhaustive_oracle(bound, count):
     assert len(out) == count
 
 
+def unsplit_enumerate(bound):
+    """The catalog loop with the full 15-pair freeness report on every
+    candidate of the positive-curvature cone, no condition tested early."""
+    positive_odd = range(bound if bound % 2 else bound - 1, 0, -2)
+    return sorted(
+        q
+        for head in combinations_with_replacement(positive_odd, 4)
+        for q in (head + (q5,) for q5 in range(head[3], -head[3], -2))
+        if bz._freeness(q).verdict
+    )
+
+
+@pytest.mark.parametrize("bound", [19, 29, 39])
+def test_enumerate_matches_the_unsplit_freeness_loop(bound):
+    assert bz.enumerate_spaces(bound) == unsplit_enumerate(bound)
+
+
 def test_enumerate_even_bound_equals_the_odd_bound_below():
     out = bz.enumerate_spaces(20)
     assert out == bz.enumerate_spaces(19)

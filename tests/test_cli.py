@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -432,6 +433,49 @@ def test_invalid_input_exits_2_with_one_error_line(argv, line, tmp_path, capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {line.format(tmp=tmp_path)}\n"
+
+
+@pytest.mark.parametrize(
+    "largest, limit_s, next_value, line",
+    [
+        ("bazaikin enumerate --bound 49", 30, "bazaikin enumerate --bound 50", "bound must be at most 49"),
+        ("fixedpoint profiles --budget 1000", 5, "fixedpoint profiles --budget 1001", "budget must be at most 1000"),
+        ("ss verify --p 13", 30, "ss verify --p 17", "supported primes are (3, 5, 7, 11, 13), got 17"),
+        (
+            "group build --name Z512 --out {tmp}/out.grp", 5,
+            "group build --name Z513", "order 513 outside supported range 1..512",
+        ),
+        (
+            "group analyze --in {tmp}/512.grp", 5,
+            "group analyze --in {tmp}/513.grp",
+            "cannot read group table: order 513 outside supported range 1..512",
+        ),
+        # --dim has no cap: an odd dimension past the vocabulary finds nothing
+        (
+            "fixedpoint profiles --dim 1000001", 1,
+            "fixedpoint profiles --dim 1000000", "component dimension must be odd",
+        ),
+    ],
+    ids=["bound", "budget", "p", "name", "table-order", "dim"],
+)
+def test_size_inputs_run_at_their_largest_value_and_reject_the_next(
+    largest, limit_s, next_value, line, tmp_path, capsys
+):
+    """Each leaf's numeric or size input: the largest accepted value runs
+    within a time limit, and the next value exits 2 at once with one line."""
+    with (tmp_path / "512.grp").open("w") as fh:
+        gr.write_group_file(gr.build_standard("Z512"), fh)
+    (tmp_path / "513.grp").write_text("order 513\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *largest.format(tmp=tmp_path).split())
+    assert (code, err) == (0, "")
+    assert time.perf_counter() - start < limit_s
+    if largest.startswith("bazaikin"):
+        assert json.loads(out)["count"] == 18981
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *next_value.format(tmp=tmp_path).split())
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
 def _readme_commands():

@@ -1,9 +1,13 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import pcurv13
+from pcurv13 import bazaikin, groups, spectral
 
 SRC = Path(pcurv13.__file__).resolve().parents[1]
 
@@ -28,3 +32,33 @@ if "numpy" in sys.modules:
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _sieve(n):
+    prime = [False, False] + [True] * (n - 1)
+    for d in range(2, int(n**0.5) + 1):
+        if prime[d]:
+            prime[d * d :: d] = [False] * len(prime[d * d :: d])
+    return prime
+
+
+def test_prime_checks_reject_exactly_the_non_primes():
+    # the three checks that take a prime reject the non-primes in 0..200
+    # with one message, and only them; spectral also rejects 2, in its own
+    # words
+    checks = [
+        (lambda p: groups._require_prime(p), {}),
+        (lambda p: bazaikin.mod_p_betti(Fraction(1), p), {}),
+        (lambda p: spectral._require_odd_prime(p), {2: "the engine requires an odd prime"}),
+    ]
+    prime = _sieve(200)
+    for check, special in checks:
+        for p in range(201):
+            if p in special:
+                with pytest.raises(ValueError, match=f"^{special[p]}$"):
+                    check(p)
+            elif prime[p]:
+                check(p)
+            else:
+                with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                    check(p)
