@@ -10,9 +10,10 @@ itself rather than guessing a correction.
 
 The catalog walks only the positive-curvature cone: a nonincreasing tuple
 is positively curved iff q4 + q5 > 0, so at least four entries are
-positive and the descending tuple is already canonical.  Each candidate
-is met once, filtered by freeness, and gated on canonical form and
-curvature.
+positive and the descending tuple is already canonical.  Of the 15 gcd
+conditions, 3 involve only the head (q1, q2, q3, q4): they are tested
+once per head, and the 12 that involve q5 once per candidate.  Each
+survivor is gated on canonical form and curvature.
 
 All arithmetic is exact (ints and Fraction); no floats anywhere.
 """
@@ -24,9 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .gates import _gate
+from .gfp import is_prime
 
 IndexPair = tuple[int, int]
 
@@ -38,6 +40,15 @@ DISJOINT_PAIR_COMBINATIONS: tuple[tuple[IndexPair, IndexPair], ...] = tuple(
     if set(a).isdisjoint(b) and a < b
 )
 _gate(len(DISJOINT_PAIR_COMBINATIONS) == 15, "five indices do not give 15 disjoint pairs of pairs")
+
+# the catalog tests the 3 pairs of pairs within the head q1..q4 once per
+# head, and the 12 that involve q5 once per candidate
+_HEAD_PAIRS = tuple(c for c in DISJOINT_PAIR_COMBINATIONS if 4 not in c[0] + c[1])
+_Q5_PAIRS = tuple(c for c in DISJOINT_PAIR_COMBINATIONS if 4 in c[0] + c[1])
+_gate(
+    len(_HEAD_PAIRS) == 3 and sorted(_HEAD_PAIRS + _Q5_PAIRS) == sorted(DISJOINT_PAIR_COMBINATIONS),
+    "the head and q5 pairs of pairs do not partition the 15",
+)
 
 
 class Curvature(enum.Enum):
@@ -89,13 +100,22 @@ def check_free(q: Sequence[int]) -> FreenessReport:
 
 
 def _freeness(entries: tuple[int, ...]) -> FreenessReport:
-    all_odd = all(x % 2 != 0 for x in entries)
-    failing = []
-    for (i, j), (k, l) in DISJOINT_PAIR_COMBINATIONS:
+    return FreenessReport(
+        all_odd=all(x % 2 != 0 for x in entries),
+        failing_pairs=tuple(_failing_pairs(entries, DISJOINT_PAIR_COMBINATIONS)),
+    )
+
+
+def _failing_pairs(
+    entries: Sequence[int], pairs: Sequence[tuple[IndexPair, IndexPair]]
+) -> Iterator[tuple[IndexPair, IndexPair, int]]:
+    """The pairs of pairs ((i,j),(k,l)) in ``pairs`` whose pair-sums
+    entries[i] + entries[j] and entries[k] + entries[l] do not have gcd 2,
+    each with that gcd, in the order of ``pairs``."""
+    for (i, j), (k, l) in pairs:
         g = math.gcd(entries[i] + entries[j], entries[k] + entries[l])
         if g != 2:
-            failing.append(((i, j), (k, l), g))
-    return FreenessReport(all_odd=all_odd, failing_pairs=tuple(failing))
+            yield (i, j), (k, l), g
 
 
 def check_curvature(q: Sequence[int]) -> Curvature:
@@ -153,7 +173,7 @@ def mod_p_betti(torsion_order: Fraction, p: int) -> tuple[int, ...]:
     """
     if torsion_order < 0:
         raise ValueError("torsion order is a magnitude")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not _p_divides(p, torsion_order):
         return RATIONAL_BETTI
@@ -184,23 +204,27 @@ def enumerate_spaces(bound: int) -> list[tuple[int, ...]]:
     Only the positive-curvature cone is walked.  For q1 >= ... >= q5 the
     smallest pair-sum is q4 + q5, so positive curvature is q4 + q5 > 0:
     at most q5 is <= 0, the majority is positive, and the descending tuple
-    is already canonical.  The candidates are four positive odd entries,
-    nonincreasing, and an odd q5 with -q4 < q5 <= q4 (3289 at bound 19, of
-    42504 odd multisets), each met once.  Freeness filters them as built;
-    a returned tuple that is not canonical or not positively curved
-    raises ``ProofGateError``.  The cost grows like bound^5, so a bound
-    above MAX_ENUMERATE_BOUND (18981 spaces, a few seconds) is rejected.
+    is already canonical.  A head is four positive odd entries,
+    nonincreasing; the 3 freeness conditions within it are tested once,
+    and a head that fails one is skipped with all its q5.  A passing head
+    takes each odd q5 with -q4 < q5 <= q4, tested against the 12 conditions
+    that involve q5 (at bound 19: 715 heads, 332 passing, 1540 candidates).
+    A returned tuple that is not canonical or not positively curved raises
+    ``ProofGateError``.  The cost grows like bound^5, so a bound above
+    MAX_ENUMERATE_BOUND (18981 spaces, about 0.4 s) is rejected.
     """
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise ValueError("bound must be at least 1")
     if bound > MAX_ENUMERATE_BOUND:
         raise ValueError(f"bound must be at most {MAX_ENUMERATE_BOUND}")
     positive_odd = range(bound if bound % 2 else bound - 1, 0, -2)
     spaces = []
-    for q1, q2, q3, q4 in combinations_with_replacement(positive_odd, 4):
-        for q5 in range(q4, -q4, -2):
-            q = (q1, q2, q3, q4, q5)
-            if not _freeness(q).verdict:
+    for head in combinations_with_replacement(positive_odd, 4):
+        if next(_failing_pairs(head, _HEAD_PAIRS), None):
+            continue
+        for q5 in range(head[3], -head[3], -2):
+            q = head + (q5,)
+            if next(_failing_pairs(q, _Q5_PAIRS), None):
                 continue
             _gate(q == canonicalize(q), f"enumerated tuple {q} is not canonical")
             _gate(

@@ -25,8 +25,9 @@ from . import bazaikin, cohomology, gates, groups, pipeline, spectral
 
 
 def _emit(data) -> None:
-    json.dump(data, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
+    """Write data as one indented JSON document in one piece: if it cannot
+    be encoded, nothing is written."""
+    sys.stdout.write(json.dumps(data, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +77,6 @@ def cmd_bazaikin_check(args) -> int:
 
 
 def cmd_bazaikin_enumerate(args) -> int:
-    if args.bound < 1:
-        raise ValueError("--bound must be at least 1")
     spaces = bazaikin.enumerate_spaces(args.bound)
     if args.format == "json":
         _emit(

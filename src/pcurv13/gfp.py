@@ -14,6 +14,11 @@ from typing import Iterable, Sequence
 Vec = tuple[int, ...]
 
 
+def is_prime(n: int) -> bool:
+    """Trial division: the primes of this package are small."""
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
 def zero_vec(n: int) -> Vec:
     return (0,) * n
 

@@ -49,6 +49,8 @@ from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
+from .gfp import is_prime
+
 ORDER_CAP = 512
 
 
@@ -516,7 +518,7 @@ def _p_part(n: int, p: int) -> int:
 
 
 def _require_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise GroupError(f"{p} is not prime")
 
 

@@ -62,6 +62,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 from .gates import _gate
 from .gfp import (
     Subspace,
+    is_prime,
     is_zero,
     preimage_subspace,
     rank,
@@ -114,7 +115,7 @@ def base_dim(k: int) -> int:
 def _require_odd_prime(p: int) -> None:
     if p == 2:
         raise ValueError("the engine requires an odd prime")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
 

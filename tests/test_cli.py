@@ -395,7 +395,7 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
 @pytest.mark.parametrize(
     "argv, line",
     [
-        ("bazaikin enumerate --bound 0", "--bound must be at least 1"),
+        ("bazaikin enumerate --bound 0", "bound must be at least 1"),
         ("bazaikin enumerate --bound 50", "bound must be at most 49"),
         ("group build --burnside 7 3 2 --name Z3", "give either --burnside or --name, not both"),
         ("group build", "one of --burnside m n r or --name NAME is required"),
@@ -433,6 +433,19 @@ def test_invalid_input_exits_2_with_one_error_line(argv, line, tmp_path, capsys)
     assert code == 2
     assert out == ""
     assert err == f"error: {line.format(tmp=tmp_path)}\n"
+
+
+def test_emit_writes_one_document_in_one_call(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", argparse.Namespace(write=writes.append))
+    data = {"bound": 3, "spaces": [{"q": [1, 1, 1, 1, 1], "free": True, "m": "10/8"}], "x": None}
+    cli._emit(data)
+    assert writes == [json.dumps(data, indent=2) + "\n"]
+    # a payload that cannot be encoded leaves no partial document behind
+    writes.clear()
+    with pytest.raises(TypeError):
+        cli._emit({"a": [1, object()]})
+    assert writes == []
 
 
 @pytest.mark.parametrize(
