@@ -4,7 +4,7 @@ Everything here works on tuples of ints in [0, p).  Matrices are tuples of
 row vectors.  Dimensions in this package are tiny (at most 8), so the
 implementation favours clarity and hashability over speed; hot loops cache
 reduced bases.  One elimination loop, _eliminate, serves both rref and
-Subspace.reduce.
+Subspace.reduce.  is_prime is the one primality test of the package.
 """
 
 from __future__ import annotations

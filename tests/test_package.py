@@ -47,9 +47,9 @@ def test_prime_checks_reject_exactly_the_non_primes():
     # with one message, and only them; spectral also rejects 2, in its own
     # words
     checks = [
-        (lambda p: groups._require_prime(p), {}),
+        (groups._require_prime, {}),
         (lambda p: bazaikin.mod_p_betti(Fraction(1), p), {}),
-        (lambda p: spectral._require_odd_prime(p), {2: "the engine requires an odd prime"}),
+        (spectral._require_odd_prime, {2: "the engine requires an odd prime"}),
     ]
     prime = _sieve(200)
     for check, special in checks:
