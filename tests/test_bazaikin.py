@@ -251,6 +251,32 @@ def test_mod_p_total_at_least_rational(order):
         assert (total == 6) == (order % p != 0)
 
 
+def valuation_at_least_one(p, r):
+    """The p-adic valuation of r, counted factor by factor, is at least 1
+    (an order of 0 is divisible by every prime)."""
+    num, den = r.numerator, r.denominator
+    if num == 0:
+        return True
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v >= 1
+
+
+def test_mod_p_betti_matches_the_valuation_loop():
+    bumped = tuple(b + (5 <= k <= 8) for k, b in enumerate(bz.RATIONAL_BETTI))
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(-60, 61):
+            for d in range(1, 61):
+                r = abs(Fraction(n, d))
+                expected = bumped if valuation_at_least_one(p, r) else bz.RATIONAL_BETTI
+                assert bz.mod_p_betti(r, p) == expected, (n, d, p)
+
+
 def test_mod3_type_uses_e3():
     assert bz.mod3_type((1, 1, 1, 1, 1)) == bz.MOD3_CP2xS9  # e3 = 10
     assert bz.e3((3, 1, 1, 1, 1)) == 22  # 6 triples with the 3, 4 without

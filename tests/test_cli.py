@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcurv13 import bazaikin as bz
 from pcurv13 import cli, gates
 from pcurv13 import groups as gr
 from pcurv13 import spectral as ss
@@ -66,6 +68,56 @@ def test_bazaikin_enumerate_json(capsys):
     data = json.loads(out)
     assert data["count"] == len(data["spaces"]) == 2
     assert all(s["free"] for s in data["spaces"])
+
+
+def bazaikin_check_oracle(q):
+    """The `bazaikin check --json` document of q, from check_free,
+    check_curvature and e3; m = e3/8 is integral iff 8 divides e3, and 3
+    divides m iff 3 divides e3."""
+    canonical = bz.canonicalize(q)
+    report = bz.check_free(q)
+    e = bz.e3(canonical)
+    row = {
+        "q": list(canonical),
+        "free": report.verdict,
+        "all_odd": report.all_odd,
+        "failing_pairs": [[list(ij), list(kl), g] for ij, kl, g in report.failing_pairs],
+        "curvature": bz.check_curvature(canonical).value,
+        "e3": e,
+        "m": f"{e}/8",
+        "m_integral": e % 8 == 0,
+        "mod3_type": "CP4xS5" if e % 3 == 0 else "CP2xS9",
+    }
+    return json.dumps(row, indent=2) + "\n"
+
+
+BAZAIKIN_CHECK_EDGE_CASES = [
+    (1, 1, 1, 1, 1),
+    (2, 1, 1, 1, 1),  # an even entry
+    (0, 0, 0, 0, 0),
+    (2, 0, 0, 0, 0),  # e3 = 0, so m = 0 is integral and divisible by 3
+    (2, 2, 1, 0, 0),  # e3 = 4, so m = 1/2
+    (2, 2, 2, 1, 1),  # e3 = 20, 4 mod 8 again
+    (-1, -1, -1, -1, -3),  # all negative
+    (-3, 5, -1, 7, 1),  # mixed signs, not in canonical order
+    (1, 3, 5, 7, 9),  # increasing
+    (1, 1, -1, -1, 0),  # two of each sign: the tie-break picks the larger
+    (3, 1, 0, -1, -3),
+    (4, 4, 4, 4, 4),
+]
+
+
+def test_bazaikin_check_json_matches_the_oracle(capsys):
+    sample = random.Random(20261019).choices(range(-4, 5), k=5 * 80)
+    tuples = BAZAIKIN_CHECK_EDGE_CASES + [tuple(sample[i : i + 5]) for i in range(0, len(sample), 5)]
+    residues = set()
+    for q in tuples:
+        code, out, _ = run_cli(capsys, "bazaikin", "check", *map(str, q), "--json")
+        assert code == 0
+        assert out == bazaikin_check_oracle(q), q
+        residues.add(bz.e3(bz.canonicalize(q)) % 8)
+    # every residue of e3 mod 8 occurs, so m_integral is told from e3 % 4 == 0
+    assert residues == set(range(8))
 
 
 def test_group_build_stdout_and_analyze(tmp_path, capsys):
