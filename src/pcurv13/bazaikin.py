@@ -8,6 +8,9 @@ is the exact rational e3(q)/8, which is *not* always an integer for
 admissible tuples (e.g. (1,1,1,1,1) gives 10/8); we report the Fraction
 itself rather than guessing a correction.
 
+``row(q)`` is a tuple's catalog row, read off one canonical form and one
+e3.  One rule, ``_divides``, decides whether a prime divides m.
+
 The catalog walks only the positive-curvature cone: a nonincreasing tuple
 is positively curved iff q4 + q5 > 0, so at least four entries are
 positive and the descending tuple is already canonical.  Of the 15 gcd
@@ -148,19 +151,10 @@ def h6_order(q: Sequence[int]) -> Fraction:
 RATIONAL_BETTI = (1, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1)
 
 
-def _p_divides(p: int, r: Fraction) -> bool:
-    """p-adic valuation of r is >= 1 (for odd p the denominator 8 is a unit)."""
-    num, den = r.numerator, r.denominator
-    if num == 0:
-        return True
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v >= 1
+def _divides(p: int, m: Fraction) -> bool:
+    # a Fraction is in lowest terms, so its p-adic valuation is at least 1
+    # exactly when p divides its numerator; m = 0 has numerator 0
+    return m.numerator % p == 0
 
 
 def mod_p_betti(torsion_order: Fraction, p: int) -> tuple[int, ...]:
@@ -169,13 +163,14 @@ def mod_p_betti(torsion_order: Fraction, p: int) -> tuple[int, ...]:
 
     dim_k = free rank of H^k, plus 1 if p divides the torsion of H^k,
     plus 1 if p divides the torsion of H^{k+1}: when p divides |m| that
-    adds one to degrees 5, 6, 7 and 8, otherwise nothing.
+    adds one to degrees 5, 6, 7 and 8, otherwise nothing.  |m| need not be
+    integral: p divides it when p divides its reduced numerator.
     """
     if torsion_order < 0:
         raise ValueError("torsion order is a magnitude")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if not _p_divides(p, torsion_order):
+    if not _divides(p, torsion_order):
         return RATIONAL_BETTI
     return tuple(b + (5 <= k <= 8) for k, b in enumerate(RATIONAL_BETTI))
 
@@ -185,13 +180,34 @@ MOD3_CP4xS5 = "CP4xS5"
 
 
 def mod3_type(q: Sequence[int]) -> str:
-    """Mod-3 cohomology type: product-of-projective-plane-and-9-sphere when
-    3 does not divide the torsion order, otherwise CP^4 x S^5.
+    """Mod-3 cohomology type: CP^2 x S^9 when 3 does not divide the torsion
+    order m = e3/8, otherwise CP^4 x S^5; for m not integral too, since 8 is
+    a unit mod 3."""
+    return _mod3_type(h6_order(q))
 
-    Three-divisibility of m = e3/8 is read off e3 (8 is a unit mod 3), so
-    this is well-defined even when m itself is not integral.
-    """
-    return MOD3_CP4xS5 if e3(q) % 3 == 0 else MOD3_CP2xS9
+
+def _mod3_type(m: Fraction) -> str:
+    return MOD3_CP4xS5 if _divides(3, m) else MOD3_CP2xS9
+
+
+def row(q: Sequence[int]) -> dict:
+    """The catalog row of q: canonical form, freeness report, curvature
+    sign, e3, m = e3/8 as text, whether m is integral, and mod-3 type."""
+    entries = canonicalize(q)
+    report = _freeness(entries)
+    e = e3(entries)
+    m = Fraction(e, 8)
+    return {
+        "q": list(entries),
+        "free": report.verdict,
+        "all_odd": report.all_odd,
+        "failing_pairs": [[list(ij), list(kl), g] for ij, kl, g in report.failing_pairs],
+        "curvature": check_curvature(entries).value,
+        "e3": e,
+        "m": f"{e}/8",
+        "m_integral": m.denominator == 1,
+        "mod3_type": _mod3_type(m),
+    }
 
 
 MAX_ENUMERATE_BOUND = 49

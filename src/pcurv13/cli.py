@@ -4,7 +4,8 @@ Subcommands mirror the library layout: ``bazaikin`` (parameter checks and
 catalog enumeration), ``group`` (build/analyze multiplication tables),
 ``fixedpoint`` (profile census, exact-sequence solver, divisibility
 obstruction), ``ss`` (spectral-sequence verdict) and ``theorem-a`` (the
-full case engine).  Exit code 0 on success, 2 on invalid input.
+full case engine).  Exit code 0 on success, 2 on invalid input.  The
+``bazaikin`` commands only format the rows that ``bazaikin.row`` builds.
 
 The nine leaf commands sit in one table.  A call builds the parser of the
 command it invokes only, with its group's parser and the top-level one, so
@@ -34,68 +35,37 @@ def _emit(data) -> None:
 # bazaikin
 
 
-def _bazaikin_check_payload(q: tuple[int, ...]) -> dict:
-    report = bazaikin.check_free(q)
-    curv = bazaikin.check_curvature(q)
-    e3 = bazaikin.e3(q)
-    m = bazaikin.h6_order(q)
-    return {
-        "q": list(q),
-        "free": report.verdict,
-        "all_odd": report.all_odd,
-        "failing_pairs": [
-            [list(ij), list(kl), g] for ij, kl, g in report.failing_pairs
-        ],
-        "curvature": curv.value,
-        "e3": e3,
-        "m": f"{e3}/8",
-        "m_integral": m.denominator == 1,
-        "mod3_type": bazaikin.mod3_type(q),
-    }
-
-
 def cmd_bazaikin_check(args) -> int:
-    q = bazaikin.canonicalize(args.q)
-    payload = _bazaikin_check_payload(q)
+    row = bazaikin.row(args.q)
     if args.json:
-        _emit(payload)
+        _emit(row)
         return 0
-    print(f"q (canonical): {tuple(q)}")
-    if payload["free"]:
+    print(f"q (canonical): {tuple(row['q'])}")
+    if row["free"]:
         print("free action: yes (all entries odd, all 15 pair gcds equal 2)")
     else:
         print("free action: NO")
-        if not payload["all_odd"]:
+        if not row["all_odd"]:
             print("  some entry is even")
-        for ij, kl, g in payload["failing_pairs"]:
+        for ij, kl, g in row["failing_pairs"]:
             print(f"  pair sums at indices {ij} and {kl} have gcd {g}")
-    print(f"curvature pair-sums: {payload['curvature']}")
-    integral = "integral" if payload["m_integral"] else "NOT integral"
-    print(f"torsion order m = {payload['m']} = {Fraction(payload['e3'], 8)} ({integral})")
-    print(f"mod-3 cohomology type: {payload['mod3_type']}")
+    print(f"curvature pair-sums: {row['curvature']}")
+    integral = "integral" if row["m_integral"] else "NOT integral"
+    print(f"torsion order m = {row['m']} = {Fraction(row['e3'], 8)} ({integral})")
+    print(f"mod-3 cohomology type: {row['mod3_type']}")
     return 0
 
 
 def cmd_bazaikin_enumerate(args) -> int:
-    spaces = bazaikin.enumerate_spaces(args.bound)
+    rows = [bazaikin.row(q) for q in bazaikin.enumerate_spaces(args.bound)]
     if args.format == "json":
-        _emit(
-            {
-                "bound": args.bound,
-                "count": len(spaces),
-                "spaces": [_bazaikin_check_payload(q) for q in spaces],
-            }
-        )
+        _emit({"bound": args.bound, "count": len(rows), "spaces": rows})
     else:
         print("q1\tq2\tq3\tq4\tq5\te3\tm\tm_integral\tmod3_type")
-        for q in spaces:
-            p = _bazaikin_check_payload(q)
-            print(
-                "\t".join(
-                    [*(str(x) for x in q), str(p["e3"]), p["m"],
-                     str(p["m_integral"]).lower(), p["mod3_type"]]
-                )
-            )
+        for row in rows:
+            fields = [*row["q"], row["e3"], row["m"], str(row["m_integral"]).lower(),
+                      row["mod3_type"]]
+            print("\t".join(map(str, fields)))
     return 0
 
 

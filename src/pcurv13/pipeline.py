@@ -26,6 +26,7 @@ from typing import Callable, Iterable
 
 from . import bazaikin, cohomology, groups, spectral
 from .gates import ProofGateError, _gate
+from .gfp import is_prime
 
 RATIONAL = "rational"
 MOD3 = "mod3"
@@ -190,7 +191,7 @@ def _odd_divisor_candidates(values: list[int]) -> list[int]:
 
 def _surviving_odd_primes(values: list[int]) -> list[int]:
     cands = _odd_divisor_candidates(values)
-    return [d for d in cands if d > 2 and groups.prime_divisors(d) == [d]]
+    return [d for d in cands if d > 2 and is_prime(d)]
 
 
 def _enumerate_profiles(budget: int, dim: int) -> list[list[str]]:
@@ -317,10 +318,18 @@ OPS: dict[str, Callable] = {
 
 
 def replay_step(step: TraceStep) -> bool:
-    """Re-execute a trace step and compare with its recorded output."""
+    """Re-execute a trace step and compare with its recorded output: true
+    only for a registered op that recomputes the same output, or a known
+    axiom with no inputs and its own text; false for any other step, also
+    one whose inputs the op does not take or rejects."""
     if step.kind == "axiom":
-        return step.name in AXIOMS and step.output == AXIOMS[step.name]
-    return OPS[step.name](**step.inputs) == step.output
+        return step.name in AXIOMS and step.inputs == {} and step.output == AXIOMS[step.name]
+    if step.kind != "op" or step.name not in OPS:
+        return False
+    try:
+        return OPS[step.name](**step.inputs) == step.output
+    except (TypeError, ValueError):
+        return False
 
 
 class _Tracer:

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import json
 import os
@@ -118,6 +119,25 @@ def test_bazaikin_check_json_matches_the_oracle(capsys):
         residues.add(bz.e3(bz.canonicalize(q)) % 8)
     # every residue of e3 mod 8 occurs, so m_integral is told from e3 % 4 == 0
     assert residues == set(range(8))
+
+
+@pytest.mark.parametrize(
+    "argv, e3_calls",
+    [("bazaikin enumerate --bound 19", 422), ("bazaikin check 1 1 1 1 1", 1)],
+)
+def test_bazaikin_row_facts_are_derived_once_outside_cli(argv, e3_calls, capsys, monkeypatch):
+    # one e3 per row, and cli derives no row fact itself
+    callers = collections.Counter()
+    for name in ("check_free", "check_curvature", "e3", "h6_order", "mod3_type"):
+        def spy(*args, _fn=getattr(bz, name), _name=name):
+            callers[_name, sys._getframe(1).f_globals["__name__"]] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(bz, name, spy)
+    code, _, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert sum(n for (name, _), n in callers.items() if name == "e3") == e3_calls
+    assert [key for key in callers if key[1] == cli.__name__] == []
 
 
 def test_group_build_stdout_and_analyze(tmp_path, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import pcurv13
-from pcurv13 import bazaikin, groups, spectral
+from pcurv13 import bazaikin, groups, pipeline, spectral
 
 SRC = Path(pcurv13.__file__).resolve().parents[1]
 
@@ -62,3 +62,10 @@ def test_prime_checks_reject_exactly_the_non_primes():
             else:
                 with pytest.raises(ValueError, match=f"^{p} is not prime$"):
                     check(p)
+
+
+def test_surviving_odd_primes_are_the_odd_primes_dividing_the_value():
+    prime = _sieve(200)
+    for n in range(1, 201):
+        expected = [d for d in range(3, n + 1) if prime[d] and n % d == 0]
+        assert pipeline.OPS["cohomology.surviving_odd_primes"](values=[n]) == expected, n

@@ -317,6 +317,25 @@ def test_replay_after_a_live_run_still_stops_a_changed_output():
         assert not pl.replay_step(dataclasses.replace(step, output=_changed(step.output)))
 
 
+def test_replay_rejects_malformed_steps():
+    rep = pl.theorem_a_report(pl.ScenarioInput(2, pl.RATIONAL))
+    op = next(s for s in rep.case_trace if s.kind == "op")
+    axiom = next(s for s in rep.case_trace if s.kind == "axiom")
+    assert pl.replay_step(op) and pl.replay_step(axiom)
+    malformed = [
+        dataclasses.replace(op, kind="bogus"),  # an unknown kind naming a registered op
+        dataclasses.replace(op, name="cohomology.no_such_op"),
+        dataclasses.replace(axiom, name="no such axiom"),
+        dataclasses.replace(axiom, inputs={"p": 3}),  # an axiom takes no inputs
+        dataclasses.replace(op, inputs={**op.inputs, "bogus": 1}),  # an input the op does not take
+        pl.TraceStep(  # inputs the op rejects
+            tag="x", kind="op", name="groups.normal_rank", inputs={"name": "Z6", "p": 3}, output=2
+        ),
+    ]
+    for step in malformed:
+        assert pl.replay_step(step) is False, step
+
+
 def test_registry_stores_no_raising_op():
     for _ in range(2):
         with pytest.raises(groups.GroupError, match="needs a 3-group"):
