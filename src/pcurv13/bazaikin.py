@@ -8,8 +8,9 @@ is the exact rational e3(q)/8, which is *not* always an integer for
 admissible tuples (e.g. (1,1,1,1,1) gives 10/8); we report the Fraction
 itself rather than guessing a correction.
 
-``row(q)`` is a tuple's catalog row, read off one canonical form and one
-e3.  One rule, ``_divides``, decides whether a prime divides m.
+``row(q)`` is the one function for a tuple's facts: its catalog row, with
+freeness, curvature, m and the mod-3 type read off one canonical form and
+one e3.  One rule, ``_divides``, decides whether a prime divides m.
 
 The catalog walks only the positive-curvature cone: a nonincreasing tuple
 is positively curved iff q4 + q5 > 0, so at least four entries are
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
@@ -81,34 +81,6 @@ def canonicalize(q: Sequence[int]) -> tuple[int, ...]:
     return max(plus, minus)
 
 
-@dataclass(frozen=True)
-class FreenessReport:
-    all_odd: bool
-    failing_pairs: tuple[tuple[IndexPair, IndexPair, int], ...]
-    # ((i,j),(k,l),g): gcd(q_i+q_j, q_k+q_l) = g != 2, indices 0-based
-
-    @property
-    def verdict(self) -> bool:
-        return self.all_odd and not self.failing_pairs
-
-
-def check_free(q: Sequence[int]) -> FreenessReport:
-    """Freeness of the quotient action.
-
-    The full symmetric-group quantification collapses to the 15 unordered
-    pairs of disjoint index pairs; each gcd must be exactly 2.  Failing
-    pairs are reported with 0-based indices into the canonical ordering.
-    """
-    return _freeness(canonicalize(q))
-
-
-def _freeness(entries: tuple[int, ...]) -> FreenessReport:
-    return FreenessReport(
-        all_odd=all(x % 2 != 0 for x in entries),
-        failing_pairs=tuple(_failing_pairs(entries, DISJOINT_PAIR_COMBINATIONS)),
-    )
-
-
 def _failing_pairs(
     entries: Sequence[int], pairs: Sequence[tuple[IndexPair, IndexPair]]
 ) -> Iterator[tuple[IndexPair, IndexPair, int]]:
@@ -138,11 +110,6 @@ def e3(q: Sequence[int]) -> int:
     return sum(
         entries[i] * entries[j] * entries[k] for i, j, k in combinations(range(5), 3)
     )
-
-
-def h6_order(q: Sequence[int]) -> Fraction:
-    """The signed torsion order m = e3(q)/8, exact and possibly not integral."""
-    return Fraction(e3(q), 8)
 
 
 # rational Betti numbers in degrees 0..13; the integral cohomology is free
@@ -179,34 +146,29 @@ MOD3_CP2xS9 = "CP2xS9"
 MOD3_CP4xS5 = "CP4xS5"
 
 
-def mod3_type(q: Sequence[int]) -> str:
-    """Mod-3 cohomology type: CP^2 x S^9 when 3 does not divide the torsion
-    order m = e3/8, otherwise CP^4 x S^5; for m not integral too, since 8 is
-    a unit mod 3."""
-    return _mod3_type(h6_order(q))
-
-
-def _mod3_type(m: Fraction) -> str:
-    return MOD3_CP4xS5 if _divides(3, m) else MOD3_CP2xS9
-
-
 def row(q: Sequence[int]) -> dict:
-    """The catalog row of q: canonical form, freeness report, curvature
-    sign, e3, m = e3/8 as text, whether m is integral, and mod-3 type."""
+    """The catalog row of q: canonical form, freeness, curvature sign, e3,
+    m = e3/8 as text, whether m is integral, and mod-3 type.
+
+    The action is free iff all entries are odd and each of the 15 gcds of
+    disjoint pair-sums is 2; failing pairs carry 0-based indices into the
+    canonical form.  The mod-3 type is CP^4 x S^5 when 3 divides m and
+    CP^2 x S^9 otherwise, for m not integral too, since 8 is a unit mod 3."""
     entries = canonicalize(q)
-    report = _freeness(entries)
+    all_odd = all(x % 2 != 0 for x in entries)
+    failing = [[list(ij), list(kl), g] for ij, kl, g in _failing_pairs(entries, DISJOINT_PAIR_COMBINATIONS)]
     e = e3(entries)
     m = Fraction(e, 8)
     return {
         "q": list(entries),
-        "free": report.verdict,
-        "all_odd": report.all_odd,
-        "failing_pairs": [[list(ij), list(kl), g] for ij, kl, g in report.failing_pairs],
+        "free": all_odd and not failing,
+        "all_odd": all_odd,
+        "failing_pairs": failing,
         "curvature": check_curvature(entries).value,
         "e3": e,
         "m": f"{e}/8",
         "m_integral": m.denominator == 1,
-        "mod3_type": _mod3_type(m),
+        "mod3_type": MOD3_CP4xS5 if _divides(3, m) else MOD3_CP2xS9,
     }
 
 

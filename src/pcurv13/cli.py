@@ -84,8 +84,11 @@ def cmd_group_build(args) -> int:
     else:
         raise ValueError("one of --burnside m n r or --name NAME is required")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            groups.write_group_file(G, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                groups.write_group_file(G, fh)
+        except OSError as exc:
+            raise ValueError(f"cannot write group table: {exc}")
         print(f"wrote order-{G.order} table to {args.out}")
     else:
         groups.write_group_file(G, sys.stdout)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
+from .gfp import is_prime
+
 
 def _betti(b: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(x) for x in b)
@@ -138,7 +140,8 @@ def lefschetz_value_set(dims: Sequence[int], odd_order: bool = True) -> frozense
 @dataclass(frozen=True)
 class QuotientIndex:
     """Index of the maximal normal cyclic subgroup: d for a metacyclic
-    class-d group, p for an elementary abelian p x p group (index p)."""
+    class-d group, p for an elementary abelian p x p group (index p), so
+    a zpxzp value must be prime."""
 
     kind: str  # "cd" | "zpxzp"
     value: int
@@ -148,6 +151,8 @@ class QuotientIndex:
             raise ValueError("kind must be 'cd' or 'zpxzp'")
         if self.value < 1:
             raise ValueError("index must be positive")
+        if self.kind == "zpxzp" and not is_prime(self.value):
+            raise ValueError(f"{self.value} is not prime")
 
     @classmethod
     def parse(cls, text: str) -> "QuotientIndex":

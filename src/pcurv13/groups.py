@@ -11,10 +11,10 @@ queries are exact searches that the hard cap keeps small; normal_rank
 searches only normal subgroups above the centre, not every elementary
 abelian subgroup, whose number grows exponentially with the rank.
 
-The centre is one cached mask (row equals column) that abelianness,
-center(), the 2p condition and normal_rank read.  Whether a Sylow
-subgroup is cyclic or normal is read off the element orders, so group
-analyze builds none, and one _p_part gives every p-part.
+The centre is one cached mask (row equals column) that abelianness, the
+2p condition, the isomorphism prefilter and normal_rank read.  Whether a
+Sylow subgroup is cyclic or normal is read off the element orders, so
+group analyze builds none, and one _p_part gives every p-part.
 
 Named groups come from build_standard alone, Burnside groups from
 build_burnside, which returns the table still referenced for the same
@@ -118,10 +118,6 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def conj(self, g: int, h: int) -> int:
-        """g h g^{-1}."""
-        return int(self.table[self.table[g, h], self.inverse[g]])
-
     def cyclic_span(self, g: int) -> frozenset[int]:
         column = self.table[:, g].tolist()
         out = [0]
@@ -149,9 +145,6 @@ class GroupTable:
 
     def order_profile(self) -> Counter:
         return Counter(int(o) for o in self.element_order)
-
-    def center(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.central).tolist())
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
@@ -289,9 +282,6 @@ class SubgroupHandle:
     @property
     def is_normal(self) -> bool:
         return _is_normal_set(self.parent, self.elements)
-
-    def contains(self, g: int) -> bool:
-        return g in set(self.elements)
 
 
 def closure(G: GroupTable, seed: Iterable[int]) -> SubgroupHandle:
@@ -707,19 +697,6 @@ def normal_p_complement(G: GroupTable, p: int) -> Optional[SubgroupHandle]:
 def min_cyclic_index(G: GroupTable) -> int:
     """Group order divided by the maximal element order."""
     return G.order // int(G.element_order.max())
-
-
-def classify_order_27(G: GroupTable) -> str:
-    """The isomorphism type of a group of order 27, by abelianness and
-    exponent (which separate all five types)."""
-    if G.order != 27:
-        raise GroupError(f"classification needs order 27, got {G.order}")
-    exp = G.exponent
-    if G.is_abelian:
-        if exp == 27:
-            return "Z27"
-        return "Z9xZ3" if exp == 9 else "Z3cubed"
-    return "Z9semiZ3" if exp == 9 else "U33"
 
 
 def davis_decomposition(G: GroupTable) -> Optional[tuple[int, SubgroupHandle]]:

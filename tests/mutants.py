@@ -50,4 +50,135 @@ MUTANTS = (
         "d > 2 and d % 3]",
         ("tests/test_package.py::test_surviving_odd_primes_are_the_odd_primes_dividing_the_value",),
     ),
+    Mutant(
+        "Light's associativity test skipped",
+        "groups.py",
+        "if not np.array_equal(arr[arr[:, a], :], arr.take(arr[a, :], axis=1)):",
+        "if False:",
+        (
+            "tests/test_groups.py::test_validation_catches_broken_tables",
+            "tests/test_groups.py::test_every_single_cell_change_of_a_small_group_is_rejected",
+        ),
+    ),
+    Mutant(
+        "the Lagrange check on the generating set's closures dropped",
+        "groups.py",
+        "if len(elems) % size:",
+        "if False:",
+        (
+            "tests/test_groups.py::test_generating_set_rejects_a_lagrange_breaking_magma_as_before",
+            "tests/test_groups.py::test_a_non_group_fails_at_its_second_generator",
+        ),
+    ),
+    Mutant(
+        "the centre mask takes an element whose row meets its column anywhere",
+        "groups.py",
+        "(self.table == self.table.T).all(axis=1)",
+        "(self.table == self.table.T).any(axis=1)",
+        (
+            "tests/test_groups.py::test_centre_facts_match_per_element_oracle",
+            "tests/test_groups.py::test_two_p_condition",
+        ),
+    ),
+    Mutant(
+        "the splitting takes a cyclic Sylow 2-subgroup as normal without counting",
+        "groups.py",
+        "if not sylow_is_cyclic(G, 2) or np.count_nonzero(two_part % G.element_order == 0) != two_part:",
+        "if not sylow_is_cyclic(G, 2):",
+        (
+            "tests/test_groups.py::test_davis_decomposition",
+            "tests/test_groups.py::test_sylow_facts_match_built_sylow_subgroups",
+        ),
+    ),
+    Mutant(
+        "line orbits weighted by their lines, not their points",
+        "spectral.py",
+        "size * (p - 1) ** sum(map(any, x))",
+        "size",
+        (
+            "tests/test_spectral.py::test_zero_frame_d4x_orbits_match_full_group_p3",
+            "tests/test_spectral.py::test_orbit_builds_match_orbits_of_every_point[3]",
+        ),
+    ),
+    Mutant(
+        "the zero frame's d4(xy) lines weighted as point counts",
+        "spectral.py",
+        "[(w, n // (p - 1)) for w, n in d4x_orbits if any(w)]",
+        "[(w, n) for w, n in d4x_orbits if any(w)]",
+        (
+            "tests/test_spectral.py::test_zero_frame_d4xy_orbits_match_every_line[3]",
+            "tests/test_spectral.py::test_exhaustive_verdict_p3",
+        ),
+    ),
+    Mutant(
+        "one survivor too many at (3,3)",
+        "spectral.py",
+        "s33_top = len(fr.u_kernel(3)) - fr.ideal_piece(fr.xi, 3, 0).dim",
+        "s33_top = len(fr.u_kernel(3)) - fr.ideal_piece(fr.xi, 3, 0).dim + 1",
+        (
+            "tests/test_spectral.py::test_exhaustive_verdict_p3",
+            "tests/test_spectral.py::test_frame_minimum_matches_every_class_loop[3]",
+        ),
+    ),
+    Mutant(
+        "Smith-Gysin solutions accepted with rank left over at the top",
+        "cohomology.py",
+        "if rank_in == 0 and R[n - 1] + f[n] == x[n]:",
+        "if R[n - 1] + f[n] == x[n]:",
+        (
+            "tests/test_cohomology.py::test_fiberless_solutions_force_zero_euler",
+            "tests/test_cohomology.py::test_solutions_with_fixed_set_match_oracle",
+        ),
+    ),
+    Mutant(
+        "the census allows b2 below b1",
+        "cohomology.py",
+        "for b2 in range(b1,",
+        "for b2 in range(0,",
+        ("tests/test_cohomology.py::test_mod_p_component_census",),
+    ),
+    Mutant(
+        "the catalog skips the head's freeness conditions",
+        "bazaikin.py",
+        "if next(_failing_pairs(head, _HEAD_PAIRS), None):",
+        "if False:",
+        (
+            "tests/test_bazaikin.py::test_enumerate_matches_exhaustive_oracle",
+            "tests/test_bazaikin.py::test_enumerate_output_is_canonical_sorted_unique",
+        ),
+    ),
+    Mutant(
+        "a row is free when its entries are odd or its gcds are 2",
+        "bazaikin.py",
+        '"free": all_odd and not failing,',
+        '"free": all_odd or not failing,',
+        (
+            "tests/test_bazaikin.py::test_reduction_matches_full_permutation_oracle",
+            "tests/test_cli.py::test_bazaikin_check_json_matches_the_oracle",
+        ),
+    ),
+    Mutant(
+        "the memo hands out its stored output",
+        "pipeline.py",
+        "return copy.deepcopy(_OUTPUTS[key])",
+        "return _OUTPUTS[key]",
+        ("tests/test_pipeline.py::test_registry_hit_is_an_independent_copy",),
+    ),
+    Mutant(
+        "a zpxzp quotient index need not be prime",
+        "cohomology.py",
+        'if self.kind == "zpxzp" and not is_prime(self.value):',
+        "if False:",
+        (
+            "tests/test_package.py::test_prime_checks_reject_exactly_the_non_primes",
+            "tests/test_cli.py::test_invalid_input_exits_2_with_one_error_line",
+        ),
+    ),
+    Mutant(
+        "group build --out lets an unwritable path raise",
+        "cli.py",
+        'raise ValueError(f"cannot write group table: {exc}")',
+        "raise",
+        ("tests/test_cli.py::test_invalid_input_exits_2_with_one_error_line",),
+    ),
 )

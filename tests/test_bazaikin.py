@@ -88,8 +88,8 @@ def test_rejects_wrong_arity():
 
 
 def test_free_all_ones():
-    rep = bz.check_free((1, 1, 1, 1, 1))
-    assert rep.verdict and rep.all_odd and not rep.failing_pairs
+    row = bz.row((1, 1, 1, 1, 1))
+    assert row["free"] and row["all_odd"] and not row["failing_pairs"]
     # all 15 disjoint-pair gcds are exactly 2, computed here directly
     q = (1, 1, 1, 1, 1)
     pairs = [
@@ -105,21 +105,21 @@ def test_free_all_ones():
 
 
 def test_not_free_even_entry():
-    rep = bz.check_free((1, 1, 1, 1, 2))
-    assert not rep.verdict and not rep.all_odd
+    row = bz.row((1, 1, 1, 1, 2))
+    assert not row["free"] and not row["all_odd"]
 
 
 def test_not_free_gcd_four():
-    rep = bz.check_free((5, 3, 3, 1, 1))
-    assert not rep.verdict and rep.all_odd
-    assert any(g == 4 for _, _, g in rep.failing_pairs)
+    row = bz.row((5, 3, 3, 1, 1))
+    assert not row["free"] and row["all_odd"]
+    assert any(g == 4 for _, _, g in row["failing_pairs"])
 
 
 def test_reduction_matches_full_permutation_oracle():
     rng = random.Random(20240817)
     for _ in range(200):
         q = tuple(rng.randint(-15, 15) for _ in range(5))
-        assert bz.check_free(q).verdict == freeness_oracle_120(q), q
+        assert bz.row(q)["free"] == freeness_oracle_120(q), q
 
 
 # --- curvature ---------------------------------------------------------
@@ -147,10 +147,10 @@ def test_curvature_flips_with_sign(q):
 
 
 def test_h6_examples():
-    assert bz.h6_order((1, 1, 1, 1, 1)) == Fraction(10, 8)
-    assert bz.h6_order((1, 1, 1, 1, -1)) == Fraction(-2, 8)
-    assert bz.h6_order((2, 0, 0, 0, 0)) == Fraction(0)
-    assert bz.h6_order((2, 0, 0, 0, 0)).denominator == 1
+    assert Fraction(bz.e3((1, 1, 1, 1, 1)), 8) == Fraction(10, 8)
+    assert Fraction(bz.e3((1, 1, 1, 1, -1)), 8) == Fraction(-2, 8)
+    assert Fraction(bz.e3((2, 0, 0, 0, 0)), 8) == Fraction(0)
+    assert bz.row((2, 0, 0, 0, 0))["m_integral"]
 
 
 @given(entries5)
@@ -162,14 +162,14 @@ def test_e3_against_polynomial_expansion(q):
 def test_symmetric_invariance(q, perm):
     qp = tuple(q[i] for i in perm)
     assert bz.e3(q) == bz.e3(qp)
-    assert bz.check_free(q).verdict == bz.check_free(qp).verdict
+    assert bz.row(q)["free"] == bz.row(qp)["free"]
 
 
 @given(entries5)
 def test_sign_flip_invariance(q):
     flipped = tuple(-x for x in q)
-    assert bz.check_free(q).verdict == bz.check_free(flipped).verdict
-    assert abs(bz.h6_order(q)) == abs(bz.h6_order(flipped))
+    assert bz.row(q)["free"] == bz.row(flipped)["free"]
+    assert abs(bz.e3(q)) == abs(bz.e3(flipped))
 
 
 # --- cohomology profile ------------------------------------------------
@@ -191,11 +191,12 @@ def test_profile_shape_with_torsion():
 
 def test_profile_of_all_ones_reports_exact_rational():
     q = (1, 1, 1, 1, 1)
-    assert bz.check_free(q).verdict
-    assert abs(bz.h6_order(q)) == Fraction(5, 4)
-    assert abs(bz.h6_order(q)).denominator != 1
+    row = bz.row(q)
+    assert row["free"]
+    assert abs(Fraction(row["e3"], 8)) == Fraction(5, 4)
+    assert not row["m_integral"]
     # the torsion order is not 1, so a prime dividing its numerator sees it
-    assert bz.mod_p_betti(abs(bz.h6_order(q)), 5) != bz.RATIONAL_BETTI
+    assert bz.mod_p_betti(abs(Fraction(row["e3"], 8)), 5) != bz.RATIONAL_BETTI
 
 
 def test_mod_p_betti_rejects_bad_input():
@@ -278,12 +279,12 @@ def test_mod_p_betti_matches_the_valuation_loop():
 
 
 def test_mod3_type_uses_e3():
-    assert bz.mod3_type((1, 1, 1, 1, 1)) == bz.MOD3_CP2xS9  # e3 = 10
+    assert bz.row((1, 1, 1, 1, 1))["mod3_type"] == bz.MOD3_CP2xS9  # e3 = 10
     assert bz.e3((3, 1, 1, 1, 1)) == 22  # 6 triples with the 3, 4 without
-    assert bz.mod3_type((3, 1, 1, 1, 1)) == bz.MOD3_CP2xS9
+    assert bz.row((3, 1, 1, 1, 1))["mod3_type"] == bz.MOD3_CP2xS9
     q = (3, 3, 3, 1, 1)
     assert bz.e3(q) == e3_oracle_poly(q) == 90
-    assert bz.mod3_type(q) == bz.MOD3_CP4xS5
+    assert bz.row(q)["mod3_type"] == bz.MOD3_CP4xS5
 
 
 # --- catalog -----------------------------------------------------------
@@ -327,14 +328,14 @@ def test_enumerate_matches_exhaustive_oracle(bound, count):
 
 
 def unsplit_enumerate(bound):
-    """The catalog loop with the full 15-pair freeness report on every
+    """The catalog loop with row's full 15-pair freeness verdict on every
     candidate of the positive-curvature cone, no condition tested early."""
     positive_odd = range(bound if bound % 2 else bound - 1, 0, -2)
     return sorted(
         q
         for head in combinations_with_replacement(positive_odd, 4)
         for q in (head + (q5,) for q5 in range(head[3], -head[3], -2))
-        if bz._freeness(q).verdict
+        if bz.row(q)["free"]
     )
 
 

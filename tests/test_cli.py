@@ -2,6 +2,7 @@ import argparse
 import collections
 import hashlib
 import json
+import math
 import os
 import random
 import shlex
@@ -72,17 +73,22 @@ def test_bazaikin_enumerate_json(capsys):
 
 
 def bazaikin_check_oracle(q):
-    """The `bazaikin check --json` document of q, from check_free,
-    check_curvature and e3; m = e3/8 is integral iff 8 divides e3, and 3
-    divides m iff 3 divides e3."""
+    """The `bazaikin check --json` document of q, from a gcd loop over the
+    15 disjoint pairs of pairs, check_curvature and e3; m = e3/8 is integral
+    iff 8 divides e3, and 3 divides m iff 3 divides e3."""
     canonical = bz.canonicalize(q)
-    report = bz.check_free(q)
+    all_odd = all(x % 2 for x in canonical)
+    failing_pairs = []
+    for (i, j), (k, l) in bz.DISJOINT_PAIR_COMBINATIONS:
+        g = math.gcd(canonical[i] + canonical[j], canonical[k] + canonical[l])
+        if g != 2:
+            failing_pairs.append([[i, j], [k, l], g])
     e = bz.e3(canonical)
     row = {
         "q": list(canonical),
-        "free": report.verdict,
-        "all_odd": report.all_odd,
-        "failing_pairs": [[list(ij), list(kl), g] for ij, kl, g in report.failing_pairs],
+        "free": all_odd and not failing_pairs,
+        "all_odd": all_odd,
+        "failing_pairs": failing_pairs,
         "curvature": bz.check_curvature(canonical).value,
         "e3": e,
         "m": f"{e}/8",
@@ -128,7 +134,7 @@ def test_bazaikin_check_json_matches_the_oracle(capsys):
 def test_bazaikin_row_facts_are_derived_once_outside_cli(argv, e3_calls, capsys, monkeypatch):
     # one e3 per row, and cli derives no row fact itself
     callers = collections.Counter()
-    for name in ("check_free", "check_curvature", "e3", "h6_order", "mod3_type"):
+    for name in ("check_curvature", "e3"):
         def spy(*args, _fn=getattr(bz, name), _name=name):
             callers[_name, sys._getframe(1).f_globals["__name__"]] += 1
             return _fn(*args)
@@ -478,6 +484,11 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
         ("group build --name Q8", "unknown group name 'Q8'"),
         ("group build --name Z1000000", "order 1000000 outside supported range 1..512"),
         (
+            "group build --name Z3 --out {tmp}/missing/x.grp",
+            "cannot write group table: [Errno 2] No such file or directory: '{tmp}/missing/x.grp'",
+        ),
+        ("group build --name Z3 --out {tmp}", "cannot write group table: [Errno 21] Is a directory: '{tmp}'"),
+        (
             "group analyze --in {tmp}/missing.grp",
             "cannot read group table: [Errno 2] No such file or directory: '{tmp}/missing.grp'",
         ),
@@ -496,6 +507,8 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
             "fixedpoint obstruct --group xx:3 --lef 1",
             "bad --group (want cd:D or zpxzp:P): kind must be 'cd' or 'zpxzp'",
         ),
+        ("fixedpoint obstruct --group zpxzp:4 --lef 4,8", "bad --group (want cd:D or zpxzp:P): 4 is not prime"),
+        ("fixedpoint obstruct --group zpxzp:1 --lef 1", "bad --group (want cd:D or zpxzp:P): 1 is not prime"),
         ("fixedpoint obstruct --group cd:3 --lef 1,a", "--lef wants a comma-separated integer list"),
         ("ss verify --p 2", "supported primes are (3, 5, 7, 11, 13), got 2"),
     ],

@@ -327,7 +327,7 @@ def test_burnside_7_3_2():
     a, b = gr.burnside_generators(params)
     # defining relations hold: a^7 = 1, b^3 = 1, b a b^-1 = a^2
     assert int(G.element_order[a]) == 7 and int(G.element_order[b]) == 3
-    conj = G.conj(b, a)
+    conj = G.mul(G.mul(b, a), int(G.inverse[b]))
     assert conj == G.mul(a, a)
 
 
@@ -425,7 +425,7 @@ def test_sylow_examples():
     S7 = gr.sylow(B, 7)
     assert S7.order == 7 and S7.is_cyclic
     a, _ = gr.burnside_generators(gr.BurnsideParams(7, 3, 2))
-    assert S7.contains(a)
+    assert a in S7.elements
     assert gr.sylow(gr.build_standard("Z15"), 7).order == 1
 
 
@@ -536,6 +536,24 @@ def test_contains_copy_examples():
     assert not gr.contains_copy(gr.build_standard("Z9semiZ3"), "Z9xZ3")
 
 
+# the five groups of order 27, under the names of gr.PATTERNS where they
+# are patterns
+ORDER_27 = {
+    label: gr.build_standard(name)
+    for label, name in [
+        ("Z27", "Z27"), ("Z9xZ3", "Z9xZ3"), ("Z3cubed", "Z3xZ3xZ3"),
+        ("Z9semiZ3", "Z9semiZ3"), ("U33", "U33"),
+    ]
+}
+
+
+def order_27_label(H):
+    """The label of the one group in ORDER_27 that H is isomorphic to."""
+    labels = [label for label, G in ORDER_27.items() if gr.is_isomorphic(H, G)]
+    assert len(labels) == 1, labels
+    return labels[0]
+
+
 def pattern_oracle(G):
     """The patterns G contains at p = 3, by brute force.
 
@@ -546,13 +564,15 @@ def pattern_oracle(G):
     """
     P = gr.sylow(G, 3).elements
     found = set()
+    seen = set()
 
     def close(seed):
         sub = gr._closure_indices(G.table, seed, cap=27)
-        if sub is None:
+        if sub is None or sub in seen:
             return
+        seen.add(sub)
         if len(sub) == 27:
-            found.add(gr.classify_order_27(as_group(gr.SubgroupHandle(G, sub))))
+            found.add(order_27_label(as_group(gr.SubgroupHandle(G, sub))))
         elif len(sub) == 9 and all(int(G.element_order[g]) in (1, 3) for g in sub):
             found.add("ZpxZp")
 
@@ -809,21 +829,7 @@ def test_min_cyclic_index_times_max_order():
         assert gr.min_cyclic_index(G) * int(G.element_order.max()) == G.order
 
 
-# --- order 27 classification and splitting --------------------------------
-
-
-def test_classify_order_27_all_five():
-    labels = {
-        gr.classify_order_27(gr.build_standard("Z27")): "Z27",
-        gr.classify_order_27(gr.build_standard("Z9xZ3")): "Z9xZ3",
-        gr.classify_order_27(gr.build_standard("Z3xZ3xZ3")): "Z3cubed",
-        gr.classify_order_27(gr.build_standard("Z9semiZ3")): "Z9semiZ3",
-        gr.classify_order_27(gr.build_standard("U33")): "U33",
-    }
-    assert all(k == v for k, v in labels.items())
-    assert len(labels) == 5
-    with pytest.raises(gr.GroupError):
-        gr.classify_order_27(gr.build_standard("Z9"))
+# --- splitting -----------------------------------------------------------
 
 
 def test_davis_decomposition():
@@ -869,7 +875,6 @@ def test_centre_facts_match_per_element_oracle(fact_groups):
     for G in fact_groups:
         centre = central_by_element(G)
         assert tuple(np.flatnonzero(G.central).tolist()) == centre, G.name
-        assert G.center() == centre, G.name
         assert G.is_abelian == (len(centre) == G.order), G.name
         involutions = set(np.flatnonzero(G.element_order == 2).tolist())
         assert gr.two_p_condition(G) == (involutions <= set(centre)), G.name
@@ -923,7 +928,7 @@ def test_u33_against_matrix_oracle():
     oracle = u33_matrix_table()
     # identical tables: both enumerate (x, y, z) lexicographically
     assert np.array_equal(G.table, oracle)
-    assert len(G.center()) == 3
+    assert len(np.flatnonzero(G.central)) == 3
 
 
 def test_z9_semi_z3_structure():
@@ -1004,7 +1009,7 @@ def test_is_isomorphic_past_every_prefilter():
         G, H = gr.GroupTable(gr._metacyclic_table(*a)), gr.GroupTable(gr._metacyclic_table(*b))
         assert G.order_profile() == H.order_profile()
         assert not G.is_abelian and not H.is_abelian
-        assert len(G.center()) == len(H.center())
+        assert np.count_nonzero(G.central) == np.count_nonzero(H.central)
         assert not gr.is_isomorphic(G, H) and not gr.is_isomorphic(H, G)
         perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
         inv = np.argsort(perm)

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pcurv13
-from pcurv13 import bazaikin, groups, pipeline, spectral
+from pcurv13 import bazaikin, cohomology, groups, pipeline, spectral
 
 SRC = Path(pcurv13.__file__).resolve().parents[1]
 
@@ -43,12 +44,13 @@ def _sieve(n):
 
 
 def test_prime_checks_reject_exactly_the_non_primes():
-    # the three checks that take a prime reject the non-primes in 0..200
-    # with one message, and only them; spectral also rejects 2, in its own
-    # words
+    # the four checks that take a prime reject the non-primes in 0..200
+    # with one message, and only them; spectral also rejects 2, and the
+    # quotient index 0, in their own words
     checks = [
         (groups._require_prime, {}),
         (lambda p: bazaikin.mod_p_betti(Fraction(1), p), {}),
+        (lambda p: cohomology.QuotientIndex("zpxzp", p), {0: "index must be positive"}),
         (spectral._require_odd_prime, {2: "the engine requires an odd prime"}),
     ]
     prime = _sieve(200)
@@ -69,3 +71,31 @@ def test_surviving_odd_primes_are_the_odd_primes_dividing_the_value():
     for n in range(1, 201):
         expected = [d for d in range(3, n + 1) if prime[d] and n % d == 0]
         assert pipeline.OPS["cohomology.surviving_odd_primes"](values=[n]) == expected, n
+
+
+def test_every_function_and_class_is_used_by_the_program():
+    # a name that only tests call is a second form of a fact the program
+    # derives once; the page engine's entry point stays as the sweep's
+    # reference.  Names only: a local variable of the same name hides an
+    # unused method
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for root in (SRC / "pcurv13", Path(__file__).resolve().parents[1] / "perfbench")
+        for path in sorted(root.rglob("*.py"))
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = sorted(
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items()
+        if path.parent.name == "pcurv13"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    assert unused == ["spectral.run_choice"]
