@@ -138,12 +138,12 @@ def cmd_group_analyze(args) -> int:
 
 def cmd_fixedpoint_profiles(args) -> int:
     profiles = cohomology.enumerate_profiles(args.budget, args.dim)
-    payload = {"profiles": [list(p.components) for p in profiles]}
+    payload = {"profiles": [list(p) for p in profiles]}
     if args.json:
         _emit(payload)
     else:
         for p in profiles:
-            print(" + ".join(p.components))
+            print(" + ".join(p))
     return 0
 
 
@@ -177,11 +177,10 @@ def cmd_fixedpoint_gysin(args) -> int:
     payload = {
         "space": args.space,
         "fixed": args.fixed,
-        "solutions": [{"R": list(s.R), "chi_bar": s.chi_bar} for s in sols],
+        "solutions": [{"R": list(R), "chi_bar": cohomology.euler_char(R)} for R in sols],
     }
     if len(sols) == 1:
-        payload["R"] = list(sols[0].R)
-        payload["chi_bar"] = sols[0].chi_bar
+        payload.update(payload["solutions"][0])
     _emit(payload)
     return 0
 
@@ -256,6 +255,8 @@ def cmd_ss_verify(args) -> int:
 
 
 def cmd_theorem_a(args) -> int:
+    if args.json and args.explain:
+        raise ValueError("give --json or --explain, not both")
     scenario = pipeline.ScenarioInput(args.rank, args.cohomology)
     report = pipeline.theorem_a_report(scenario)
     if args.explain:

@@ -8,7 +8,8 @@ divisibility obstruction, Borel codimension feasibility, the census of
 five-dimensional fixed-point profiles, and the totally-geodesic
 intersection constraint.
 
-Betti vectors and trace dimensions are plain integer sequences; the
+Betti vectors, trace dimensions and Smith-Gysin solutions are plain
+integer tuples, a fixed-set profile is a tuple of type names; the
 obstruction is the set of surviving Lefschetz numbers, empty when excluded.
 Everything is a pure function; returned lists are deterministically ordered.
 """
@@ -43,22 +44,14 @@ def euler_char(b: Sequence[int]) -> int:
 # r_k = d_k - r_{k-1} stay nonnegative and close at zero.
 
 
-@dataclass(frozen=True)
-class ExactSolution:
-    """Dimensions R^0..R^{top-1} of the relative quotient cohomology."""
-
-    R: tuple[int, ...]
-
-    @property
-    def chi_bar(self) -> int:
-        return euler_char(self.R)
-
-
 def smith_gysin_solve(
     bX: Sequence[int], bF: Sequence[int] | None, dim_x: int | None = None
-) -> list[ExactSolution]:
+) -> list[tuple[int, ...]]:
     """All exactness-consistent R-vectors, in lexicographic order.
 
+    A solution is the tuple R = (R^0, ..., R^{dim_x - 1}); the quotient's
+    relative Euler characteristic is ``euler_char(R)``.  Betti vectors
+    shorter than dim_x + 1 are padded with zeros, longer ones rejected.
     R^i vanishes for i >= dim_x (the quotient has lower dimension).  With r
     the rank entering R^i, exactness at R^i and H^i(X) gives r <= R^i <=
     r + b_i(X), and R^{dim_x} = 0 forces r = 0 at the end; a depth-first
@@ -71,14 +64,16 @@ def smith_gysin_solve(
     n = dim_x if dim_x is not None else len(x) - 1
     if n < 1:
         raise ValueError("dim_x must be at least 1")
+    if max(len(x), len(f)) > n + 1:
+        raise ValueError(f"a Betti vector has more than dim_x + 1 = {n + 1} entries")
     x += (0,) * (n + 1 - len(x))
     f += (0,) * (n + 1 - len(f))
-    sols: list[ExactSolution] = []
+    sols: list[tuple[int, ...]] = []
 
     def rec(i: int, R: tuple[int, ...], rank_in: int) -> None:
         if i == n:
             if rank_in == 0 and R[n - 1] + f[n] == x[n]:
-                sols.append(ExactSolution(R))
+                sols.append(R)
             return
         prev = R[i - 1] if i >= 1 else 0
         for ri in range(rank_in, rank_in + x[i] + 1):
@@ -199,47 +194,19 @@ COMPONENT_BETTI: dict[str, tuple[int, ...]] = {
     "CP1xS3": (1, 0, 1, 1, 0, 1),
     "CP2": (1, 0, 1, 0, 1),
 }
-_TYPE_ORDER = tuple(COMPONENT_BETTI)
-
-# types a fixed component may have: connected, b1 = 0, Poincare duality
-_ADMISSIBLE = frozenset(
-    t for t, b in COMPONENT_BETTI.items() if b[:2] == (1, 0) and b == b[::-1]
-)
 
 MAX_PROFILE_BUDGET = 1000
 
 
-def component_dim(label: str) -> int:
-    return len(COMPONENT_BETTI[label]) - 1
-
-
-@dataclass(frozen=True)
-class FixedPointProfile:
-    """Multiset of component cohomology types of a fixed-point set."""
-
-    components: tuple[str, ...]
-
-    def __post_init__(self):
-        for c in self.components:
-            if c not in COMPONENT_BETTI:
-                raise ValueError(f"unknown component type {c!r}")
-            if c not in _ADMISSIBLE:
-                raise ValueError(f"component {c} violates b0=1, b1=0")
-        comps = tuple(sorted(self.components, key=_TYPE_ORDER.index))
-        object.__setattr__(self, "components", comps)
-
-    def count(self, label: str) -> int:
-        return self.components.count(label)
-
-
 def enumerate_profiles(
     total_betti_budget: int, component_dim_wanted: int
-) -> list[FixedPointProfile]:
+) -> list[tuple[str, ...]]:
     """All multisets of admissible components of the given odd dimension
     fitting the Betti budget, with at most one even-degree-generator type
     (a second copy would exceed the generator bound of the equivariant
-    Betti-sum theorem).  Ordered by the component counts read over the
-    vocabulary backwards, which is the order the walk below meets them.
+    Betti-sum theorem).  A profile is a tuple of type names in vocabulary
+    order (S5 before CP1xS3).  Ordered by the component counts read over
+    the vocabulary backwards, which is the order the walk below meets them.
     """
     if total_betti_budget < 2:
         raise ValueError("budget must be at least 2")
@@ -251,23 +218,24 @@ def enumerate_profiles(
         raise ValueError("component dimension must be odd")
     if component_dim_wanted < 1:
         raise ValueError("component dimension must be at least 1")
+    # types a fixed component may have: connected, b1 = 0, Poincare duality
     types = [
         t
-        for t in reversed(_TYPE_ORDER)
-        if t in _ADMISSIBLE and component_dim(t) == component_dim_wanted
+        for t, b in COMPONENT_BETTI.items()
+        if len(b) - 1 == component_dim_wanted and b[:2] == (1, 0) and b == b[::-1]
     ]
-    costs = {t: sum(COMPONENT_BETTI[t]) for t in types}
+    costs = [sum(COMPONENT_BETTI[t]) for t in types]
     ranges = [
-        range((1 if t == "CP1xS3" else total_betti_budget // costs[t]) + 1)
-        for t in types
+        range((1 if t == "CP1xS3" else total_betti_budget // cost) + 1)
+        for t, cost in zip(types, costs)
     ]
     out = []
-    for counts in product(*ranges):
-        total = sum(c * costs[t] for c, t in zip(counts, types))
+    for backwards in product(*reversed(ranges)):
+        counts = backwards[::-1]
+        total = sum(c * cost for c, cost in zip(counts, costs))
         if sum(counts) == 0 or total > total_betti_budget:
             continue
-        comps = tuple(t for t, c in zip(types, counts) for _ in range(c))
-        out.append(FixedPointProfile(comps))
+        out.append(tuple(t for t, c in zip(types, counts) for _ in range(c)))
     return out
 
 

@@ -161,8 +161,8 @@ def _even_betti_total(betti: list[int]) -> int:
 def _smith_gysin(betti_x: list[int], dim: int) -> dict:
     sols = cohomology.smith_gysin_solve(betti_x, None, dim)
     return {
-        "solutions": [list(s.R) for s in sols],
-        "chi_bar": [s.chi_bar for s in sols],
+        "solutions": [list(R) for R in sols],
+        "chi_bar": [cohomology.euler_char(R) for R in sols],
     }
 
 
@@ -195,7 +195,7 @@ def _surviving_odd_primes(values: list[int]) -> list[int]:
 
 
 def _enumerate_profiles(budget: int, dim: int) -> list[list[str]]:
-    return [list(p.components) for p in cohomology.enumerate_profiles(budget, dim)]
+    return [list(p) for p in cohomology.enumerate_profiles(budget, dim)]
 
 
 def _component_census(budget: int) -> list[list]:
@@ -633,18 +633,21 @@ def _s5_component_steps(tr: _Tracer, tag: str) -> frozenset[int]:
     return _divisors(9)
 
 
-def lemma56_branch(
-    profile: cohomology.FixedPointProfile,
-) -> tuple[frozenset[int], list[TraceStep]]:
-    """Admissible indices for one five-dimensional fixed-point profile.
-
-    The profile must come from the budget-6 census; anything else is
-    rejected.
-    """
+def _check_census(profile: tuple[str, ...]) -> None:
+    """Reject a profile that the budget-6 census does not list as it is,
+    type names in vocabulary order."""
     if profile not in cohomology.enumerate_profiles(6, 5):
-        raise ValueError(f"profile {profile.components} is not in the census")
+        raise ValueError(f"profile {profile} is not in the census")
+
+
+def lemma56_branch(
+    profile: tuple[str, ...],
+) -> tuple[frozenset[int], list[TraceStep]]:
+    """Admissible indices for one five-dimensional fixed-point profile,
+    which must come from the budget-6 census."""
+    _check_census(profile)
     tr = _Tracer()
-    tag = "fixed-dim-5:" + ",".join(profile.components)
+    tag = "fixed-dim-5:" + ",".join(profile)
     _splitting_steps(tr, tag)
     if profile.count("CP1xS3") == 1:
         # the odd part acts on the unique such component
@@ -655,17 +658,18 @@ def lemma56_branch(
 
 
 def mod3_branch(
-    profile: cohomology.FixedPointProfile,
+    profile: tuple[str, ...],
 ) -> tuple[frozenset[int], list[TraceStep]]:
     """Sharper indices when the universal cover is also a mod-3 type and
-    the fixed set is two or three rational 5-spheres."""
+    the fixed set, a census profile, is two or three rational 5-spheres."""
+    _check_census(profile)
     k = profile.count("S5")
     if profile.count("CP1xS3") or k not in (2, 3):
         raise ValueError(
             "the mod-3 refinement applies to two or three sphere components"
         )
     tr = _Tracer()
-    tag = f"mod3:{','.join(profile.components)}"
+    tag = f"mod3:{','.join(profile)}"
     totals = tr.op(
         tag,
         "bazaikin.mod3_betti_totals",
@@ -799,7 +803,7 @@ def theorem_a_report(scenario: ScenarioInput) -> ObstructionReport:
             _expect=[["S5"], ["S5", "S5"], ["S5", "S5", "S5"], ["CP1xS3"], ["S5", "CP1xS3"]],
         )
         for comps in profiles:
-            profile = cohomology.FixedPointProfile(tuple(comps))
+            profile = tuple(comps)
             use_mod3 = (
                 scenario.cohomology_type == MOD3
                 and profile.count("CP1xS3") == 0

@@ -181,4 +181,28 @@ MUTANTS = (
         "raise",
         ("tests/test_cli.py::test_invalid_input_exits_2_with_one_error_line",),
     ),
+    Mutant(
+        "the mod-3 branch takes a profile outside the census",
+        "pipeline.py",
+        '    _check_census(profile)\n    k = profile.count("S5")',
+        '    k = profile.count("S5")',
+        ("tests/test_pipeline.py::test_both_branches_take_exactly_the_census_profiles",),
+    ),
+    Mutant(
+        "the Smith-Gysin solver truncates an overlong Betti vector",
+        "cohomology.py",
+        "if max(len(x), len(f)) > n + 1:",
+        "if False:",
+        ("tests/test_cohomology.py::test_smith_gysin_rejects_vectors_longer_than_dim_x_plus_one",),
+    ),
+    Mutant(
+        "the census builds profiles CP1xS3-first",
+        "cohomology.py",
+        "zip(types, counts) for _ in range(c)",
+        "zip(types[::-1], counts[::-1]) for _ in range(c)",
+        (
+            "tests/test_cohomology.py::test_profile_census_budget6",
+            "tests/test_cohomology.py::test_profile_census_matches_multiset_oracle",
+        ),
+    ),
 )

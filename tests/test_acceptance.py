@@ -195,10 +195,10 @@ def test_criterion_5_order_27():
 
 def test_criterion_6_smith_gysin():
     s5 = ch.smith_gysin_solve((1, 0, 0, 0, 0, 1), None, 5)
-    assert [s.R for s in s5] == [(1, 0, 1, 0, 1)]
-    assert s5[0].chi_bar == 3
+    assert s5 == [(1, 0, 1, 0, 1)]
+    assert ch.euler_char(s5[0]) == 3
     cp = ch.smith_gysin_solve((1, 0, 1, 1, 0, 1), None, 5)
-    assert [s.R for s in cp] == [(1, 0, 2, 0, 1)]
+    assert cp == [(1, 0, 2, 0, 1)]
     for bX in [(1, 0, 1), (1, 0, 0, 0, 1), (2, 0, 1), (1, 1, 1)]:
         if ch.euler_char(bX) != 0:
             assert ch.smith_gysin_solve(bX, None, len(bX) - 1) == []
@@ -251,7 +251,7 @@ def test_criterion_8_spectral_engine():
 
 
 def test_criterion_9_profile_census():
-    profs = [p.components for p in ch.enumerate_profiles(6, 5)]
+    profs = ch.enumerate_profiles(6, 5)
     assert profs == [
         ("S5",),
         ("S5", "S5"),

@@ -511,6 +511,7 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
         ("fixedpoint obstruct --group zpxzp:1 --lef 1", "bad --group (want cd:D or zpxzp:P): 1 is not prime"),
         ("fixedpoint obstruct --group cd:3 --lef 1,a", "--lef wants a comma-separated integer list"),
         ("ss verify --p 2", "supported primes are (3, 5, 7, 11, 13), got 2"),
+        ("theorem-a --rank 2 --json --explain", "give --json or --explain, not both"),
     ],
 )
 def test_invalid_input_exits_2_with_one_error_line(argv, line, tmp_path, capsys):

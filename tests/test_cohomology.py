@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcurv13 import cohomology as ch
+from pcurv13 import pipeline as pl
 
 
 # --- oracles -----------------------------------------------------------
@@ -62,14 +63,14 @@ def test_euler_examples():
 
 def test_smith_gysin_five_sphere():
     sols = ch.smith_gysin_solve((1, 0, 0, 0, 0, 1), None, 5)
-    assert [s.R for s in sols] == [(1, 0, 1, 0, 1)]
-    assert sols[0].chi_bar == 3
+    assert sols == [(1, 0, 1, 0, 1)]
+    assert ch.euler_char(sols[0]) == 3
 
 
 def test_smith_gysin_product_component():
     sols = ch.smith_gysin_solve((1, 0, 1, 1, 0, 1), None, 5)
-    assert [s.R for s in sols] == [(1, 0, 2, 0, 1)]
-    assert sols[0].chi_bar == 4
+    assert sols == [(1, 0, 2, 0, 1)]
+    assert ch.euler_char(sols[0]) == 4
 
 
 def test_smith_gysin_nonzero_euler_is_empty():
@@ -78,8 +79,20 @@ def test_smith_gysin_nonzero_euler_is_empty():
 
 def test_smith_gysin_three_sphere():
     sols = ch.smith_gysin_solve((1, 0, 0, 1), None, 3)
-    assert [s.R for s in sols] == [(1, 0, 1)]
-    assert sols[0].chi_bar == 2
+    assert sols == [(1, 0, 1)]
+    assert ch.euler_char(sols[0]) == 2
+
+
+def test_smith_gysin_rejects_vectors_longer_than_dim_x_plus_one():
+    with pytest.raises(ValueError, match=r"more than dim_x \+ 1 = 2 entries"):
+        ch.smith_gysin_solve((1, 1, 0, 1), None, 1)
+    # a 5-sphere fixed set cannot sit in a 3-sphere
+    with pytest.raises(ValueError, match=r"more than dim_x \+ 1 = 4 entries"):
+        ch.smith_gysin_solve((1, 0, 0, 1), (1, 0, 0, 0, 0, 1), 3)
+    # shorter vectors are still padded with zeros
+    assert ch.smith_gysin_solve((1, 0, 0, 1), (1, 1), 3) == ch.smith_gysin_solve(
+        (1, 0, 0, 1), (1, 1, 0, 0), 3
+    )
 
 
 def test_solutions_pass_independent_oracle():
@@ -93,12 +106,12 @@ def test_solutions_pass_independent_oracle():
     ]
     for bX, bF, dim in cases:
         sols = ch.smith_gysin_solve(bX, bF or None, dim)
-        for s in sols:
-            assert exactness_oracle(bX, bF, dim, s.R), (bX, bF, s.R)
+        for R in sols:
+            assert exactness_oracle(bX, bF, dim, R), (bX, bF, R)
         # the solver finds everything the oracle accepts, in a box two
         # past the total Betti number in every entry
         budget = sum(bX) + sum(bF)
-        found = {s.R for s in sols}
+        found = set(sols)
         for R in itertools.product(range(budget + 3), repeat=dim):
             assert (R in found) == exactness_oracle(bX, bF, dim, R)
 
@@ -112,8 +125,8 @@ def test_fiberless_solutions_force_zero_euler(bX):
     sols = ch.smith_gysin_solve(bX, None, dim)
     if ch.euler_char(bX) != 0:
         assert sols == []
-    for s in sols:
-        assert exactness_oracle(bX, (), dim, s.R)
+    for R in sols:
+        assert exactness_oracle(bX, (), dim, R)
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,7 +139,7 @@ def test_solutions_with_fixed_set_match_oracle(bX, bF):
     if not any(bF):
         bF[0] = 1
     dim = len(bX) - 1
-    found = [s.R for s in ch.smith_gysin_solve(bX, bF, dim)]
+    found = ch.smith_gysin_solve(bX, bF, dim)
     assert found == sorted(set(found))
     box = range(sum(bX) + sum(bF) + 3)
     accepted = [R for R in itertools.product(box, repeat=dim) if exactness_oracle(bX, bF, dim, R)]
@@ -221,7 +234,7 @@ def test_borel():
 
 def test_profile_census_budget6():
     profs = ch.enumerate_profiles(6, 5)
-    assert [p.components for p in profs] == [
+    assert profs == [
         ("S5",),
         ("S5", "S5"),
         ("S5", "S5", "S5"),
@@ -231,8 +244,8 @@ def test_profile_census_budget6():
 
 
 def test_profile_census_smaller_budgets():
-    assert [p.components for p in ch.enumerate_profiles(2, 5)] == [("S5",)]
-    assert [p.components for p in ch.enumerate_profiles(4, 5)] == [
+    assert ch.enumerate_profiles(2, 5) == [("S5",)]
+    assert ch.enumerate_profiles(4, 5) == [
         ("S5",),
         ("S5", "S5"),
         ("CP1xS3",),
@@ -243,8 +256,8 @@ def test_profile_census_never_two_even_generator_components():
     for budget in (6, 8, 10, 12):
         for p in ch.enumerate_profiles(budget, 5):
             assert p.count("CP1xS3") <= 1
-            assert sum(sum(ch.COMPONENT_BETTI[c]) for c in p.components) <= budget
-            for c in p.components:
+            assert sum(sum(ch.COMPONENT_BETTI[c]) for c in p) <= budget
+            for c in p:
                 b = ch.COMPONENT_BETTI[c]
                 assert b[0] == 1 and b[1] == 0
                 assert all(b[i] == b[len(b) - 1 - i] for i in range(len(b)))
@@ -272,7 +285,7 @@ def census_oracle(budget, dim):
 @pytest.mark.parametrize("dim", [1, 3, 5, 7, 9])
 def test_profile_census_matches_multiset_oracle(dim):
     for budget in range(2, 31):
-        got = [p.components for p in ch.enumerate_profiles(budget, dim)]
+        got = ch.enumerate_profiles(budget, dim)
         assert got == census_oracle(budget, dim), (budget, dim)
 
 
@@ -283,10 +296,11 @@ def test_profile_census_validation():
         ch.enumerate_profiles(6, 4)
     with pytest.raises(ValueError, match="component dimension must be at least 1"):
         ch.enumerate_profiles(6, -3)
-    with pytest.raises(ValueError, match="unknown component type 'X9'"):
-        ch.FixedPointProfile(("S5", "X9"))
-    with pytest.raises(ValueError, match="component S1 violates b0=1, b1=0"):
-        ch.FixedPointProfile(("S5", "S1"))
+    for branch in (pl.lemma56_branch, pl.mod3_branch):
+        with pytest.raises(ValueError, match=r"profile \('S5', 'X9'\) is not in the census"):
+            branch(("S5", "X9"))
+        with pytest.raises(ValueError, match=r"profile \('S5', 'S1'\) is not in the census"):
+            branch(("S5", "S1"))
 
 
 # --- geometric side conditions ----------------------------------------------

@@ -21,7 +21,7 @@ def divisors(n):
 
 
 def profile(*comps):
-    return ch.FixedPointProfile(tuple(comps))
+    return tuple(comps)
 
 
 # --- headline conclusions ---------------------------------------------------
@@ -120,7 +120,7 @@ def test_lemma56_branch_bounds():
     ]
     for prof, expect in cases:
         bounds, steps = pl.lemma56_branch(prof)
-        assert set(bounds) == expect, prof.components
+        assert set(bounds) == expect, prof
         assert steps
         for s in steps:
             assert pl.replay_step(s)
@@ -156,6 +156,31 @@ def test_mod3_branch_rejects_wrong_profiles():
         pl.mod3_branch(profile("CP1xS3"))
     with pytest.raises(ValueError):
         pl.mod3_branch(profile("S5"))
+
+
+def test_both_branches_take_exactly_the_census_profiles():
+    """Each branch rejects a profile outside the budget-6 census, also one
+    listed out of vocabulary order, and keeps its bounds on the census."""
+    for comps in [("S3", "S5", "S5"), ("S5", "S5", "S7", "S7"), ("CP1xS3", "S5")]:
+        for branch in (pl.lemma56_branch, pl.mod3_branch):
+            with pytest.raises(ValueError, match=r"^profile \(.*\) is not in the census$"):
+                branch(comps)
+    lemma56 = {
+        ("S5",): {1, 3, 9},
+        ("S5", "S5"): divisors(18),
+        ("S5", "S5", "S5"): divisors(18) | divisors(27),
+        ("CP1xS3",): {1, 2},
+        ("S5", "CP1xS3"): {1, 2},
+    }
+    mod3 = {("S5", "S5"): divisors(6), ("S5", "S5", "S5"): {1, 2, 3, 6, 9}}
+    assert ch.enumerate_profiles(6, 5) == list(lemma56)
+    for prof, expect in lemma56.items():
+        assert set(pl.lemma56_branch(prof)[0]) == expect, prof
+        if prof in mod3:
+            assert set(pl.mod3_branch(prof)[0]) == mod3[prof], prof
+        else:
+            with pytest.raises(ValueError, match="two or three sphere components"):
+                pl.mod3_branch(prof)
 
 
 # --- report object ---------------------------------------------------------------
