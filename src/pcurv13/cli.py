@@ -7,11 +7,11 @@ obstruction), ``ss`` (spectral-sequence verdict) and ``theorem-a`` (the
 full case engine).  Exit code 0 on success, 2 on invalid input.  The
 ``bazaikin`` commands only format the rows that ``bazaikin.row`` builds.
 
-The nine leaf commands sit in one table.  A call builds the parser of the
-command it invokes only, with its group's parser and the top-level one, so
-``group analyze`` builds three parsers and ``theorem-a`` two.  A call that
-names no command (help, a missing or unknown subcommand) builds them all.
-Help texts, error messages and exit codes are those of the full parser.
+The nine leaf commands sit in one table.  A well-formed call is parsed
+straight from its command's table entry and builds no parser; argparse runs
+only for help and errors, so help texts, error messages and exit codes are
+argparse's own.  A reader that closes standard output early (``| head``)
+ends the call with exit code 1 and nothing on standard error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -194,6 +195,8 @@ def cmd_fixedpoint_obstruct(args) -> int:
         lef = [int(x) for x in args.lef.split(",") if x.strip()]
     except ValueError:
         raise ValueError("--lef wants a comma-separated integer list")
+    if not lef:
+        raise ValueError("--lef wants at least one integer")
     surviving = cohomology.divisibility_obstruction(group, lef)
     _emit(
         {
@@ -353,16 +356,8 @@ _LEAVES = (
 )
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for argv: only the leaf command whose path argv starts
-    with, under its group parser, or every leaf when argv names none
-    (help, a missing or unknown subcommand).
-
-    A leaf parses its arguments without looking at its siblings.  The one
-    place a leaf-only build could differ is the top-level usage line, which
-    an unrecognized-argument error prints: its metavar lists every command,
-    as the full build's choices do."""
-    named = [leaf for leaf in _LEAVES if tuple(argv[: len(leaf[0])]) == leaf[0]]
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every leaf command under its group's parser."""
     ap = argparse.ArgumentParser(
         prog="pcurv13",
         description=(
@@ -370,10 +365,9 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
             "curved 13-manifolds with torus symmetry"
         ),
     )
-    commands = "{" + ",".join(dict.fromkeys(path[0] for path, *_ in _LEAVES)) + "}"
-    top = ap.add_subparsers(dest="cmd", required=True, metavar=commands if named else None)
+    top = ap.add_subparsers(dest="cmd", required=True)
     subparsers = {(): top}
-    for path, help_text, arguments, func in named or _LEAVES:
+    for path, help_text, arguments, func in _LEAVES:
         group = path[:-1]
         if group not in subparsers:
             gp = top.add_parser(group[0], help=_GROUP_HELP[group[0]])
@@ -385,15 +379,66 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     return ap
 
 
+def _parse_leaf(argv) -> argparse.Namespace | None:
+    """The namespace the full parser returns for argv, read off the entry
+    of the command argv names, or None for anything but a plain well-formed
+    call (help, an unknown, abbreviated, repeated or --opt=value option, a
+    value starting with '-', a missing required argument, a bad int or
+    choice, positional values that are not one run of the right length)."""
+    for path, _, arguments, func in _LEAVES:
+        if tuple(argv[: len(path)]) == path:
+            break
+    else:
+        return None
+    values = dict(zip(("cmd", "sub"), path), func=func)
+    spec = {}  # flag, or None for the positional: (dest, keyword arguments)
+    for flags, kwargs in arguments:
+        name = flags[0]
+        dest = kwargs.get("dest", name.lstrip("-").replace("-", "_"))
+        spec[name if name.startswith("-") else None] = dest, kwargs
+        values[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+    seen, rest = set(), list(argv[len(path):])
+    while rest:
+        key = rest.pop(0) if rest[0].startswith("-") else None
+        if key not in spec or key in seen:  # a second positional run repeats None
+            return None
+        seen.add(key)
+        dest, kwargs = spec[key]
+        if kwargs.get("action") == "store_true":
+            values[dest] = True
+            continue
+        n = kwargs.get("nargs") or 1
+        words, rest = rest[:n], rest[n:]
+        if len(words) < n or any(w.startswith("-") for w in words):
+            return None
+        try:
+            converted = [kwargs.get("type", str)(w) for w in words]
+        except ValueError:
+            return None
+        if "choices" in kwargs and any(v not in kwargs["choices"] for v in converted):
+            return None
+        values[dest] = converted if "nargs" in kwargs else converted[0]
+    if any((key is None or kw.get("required")) and key not in seen for key, (_, kw) in spec.items()):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parse_leaf(argv) or build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed standard output: point it at devnull, so that
+        # the flush at exit does not fail again, and exit 1 quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

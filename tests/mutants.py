@@ -182,6 +182,33 @@ MUTANTS = (
         ("tests/test_cli.py::test_invalid_input_exits_2_with_one_error_line",),
     ),
     Mutant(
+        "the direct parse takes a value outside an option's choices",
+        "cli.py",
+        'if "choices" in kwargs and any(v not in kwargs["choices"] for v in converted):',
+        "if False:",
+        (
+            "tests/test_cli.py::test_direct_parse_leaves_the_rest_to_argparse",
+            "tests/test_cli.py::test_a_direct_parse_equals_the_full_parsers",
+        ),
+    ),
+    Mutant(
+        "the direct parse takes a repeated option",
+        "cli.py",
+        "if key not in spec or key in seen:",
+        "if key not in spec or key in seen & {None}:",
+        ("tests/test_cli.py::test_direct_parse_leaves_the_rest_to_argparse",),
+    ),
+    Mutant(
+        "the direct parse takes positional values split by an option",
+        "cli.py",
+        "if key not in spec or key in seen:",
+        "if key not in spec or key in seen - {None}:",
+        (
+            "tests/test_cli.py::test_direct_parse_leaves_the_rest_to_argparse",
+            "tests/test_cli.py::test_a_direct_parse_equals_the_full_parsers",
+        ),
+    ),
+    Mutant(
         "the mod-3 branch takes a profile outside the census",
         "pipeline.py",
         '    _check_census(profile)\n    k = profile.count("S5")',

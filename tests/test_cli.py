@@ -1,6 +1,9 @@
 import argparse
 import collections
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import math
 import os
@@ -13,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcurv13 import bazaikin as bz
 from pcurv13 import cli, gates
@@ -510,12 +515,14 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
         ("fixedpoint obstruct --group zpxzp:4 --lef 4,8", "bad --group (want cd:D or zpxzp:P): 4 is not prime"),
         ("fixedpoint obstruct --group zpxzp:1 --lef 1", "bad --group (want cd:D or zpxzp:P): 1 is not prime"),
         ("fixedpoint obstruct --group cd:3 --lef 1,a", "--lef wants a comma-separated integer list"),
+        ("fixedpoint obstruct --group cd:3 --lef ,", "--lef wants at least one integer"),
+        ("fixedpoint obstruct --group cd:3 --lef ''", "--lef wants at least one integer"),
         ("ss verify --p 2", "supported primes are (3, 5, 7, 11, 13), got 2"),
         ("theorem-a --rank 2 --json --explain", "give --json or --explain, not both"),
     ],
 )
 def test_invalid_input_exits_2_with_one_error_line(argv, line, tmp_path, capsys):
-    code, out, err = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+    code, out, err = run_cli(capsys, *shlex.split(argv.format(tmp=tmp_path)))
     assert code == 2
     assert out == ""
     assert err == f"error: {line.format(tmp=tmp_path)}\n"
@@ -600,27 +607,12 @@ LEAVES = [
 ]
 
 
-def parse_outcome(capsys, parser, argv):
+def parse_outcome(capsys, parse, argv):
     """Exit code, stdout and stderr of a parse that help or an error ends."""
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
+        parse(argv)
     out = capsys.readouterr()
     return exc.value.code, out.out, out.err
-
-
-def parsers_built(monkeypatch, argv):
-    """build_parser(argv) and the number of ArgumentParser objects it made."""
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(argparse.ArgumentParser, "__init__", counting)
-        parser = cli.build_parser(argv)
-    return parser, len(built)
 
 
 @pytest.mark.parametrize(
@@ -633,13 +625,13 @@ def parsers_built(monkeypatch, argv):
     + [[group, "--help"] for group in ("bazaikin", "group", "fixedpoint", "ss")],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
-def test_leaf_parser_prints_and_exits_as_the_full_parser(argv, capsys, monkeypatch):
-    parser, built = parsers_built(monkeypatch, argv)
-    named = [leaf for leaf in LEAVES if tuple(argv[: len(leaf)]) == leaf]
-    assert built == (len(named[0]) + 1 if named else 14)
-    leaf_only = parse_outcome(capsys, parser, argv)
-    assert leaf_only == parse_outcome(capsys, cli.build_parser(), argv)
-    assert leaf_only[0] in (0, 2)
+def test_leaf_parser_prints_and_exits_as_the_full_parser(argv, capsys):
+    """Help and errors leave the direct parse for argparse: main prints and
+    exits exactly as the full parser does."""
+    assert cli._parse_leaf(argv) is None
+    called = parse_outcome(capsys, main, argv)
+    assert called == parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    assert called[0] in (0, 2)
 
 
 COUNT_PARSERS = """
@@ -653,17 +645,19 @@ def counting(self, *args, **kwargs):
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counting
 code = cli.main(sys.argv[1:])
-sys.stderr.write(f"parsers {built}\\n")
+sys.stderr.write(f"parsers {built} locale {'locale' in sys.modules}\\n")
 sys.exit(code)
 """
 
 
 @pytest.mark.parametrize(
-    "argv, parsers",
-    [(["group", "analyze", "--in", "{table}", "--json"], 3), (["theorem-a", "--rank", "3", "--json"], 2)],
+    "argv",
+    [["group", "analyze", "--in", "{table}", "--json"], ["theorem-a", "--rank", "3", "--json"]],
     ids=["group analyze", "theorem-a"],
 )
-def test_a_call_builds_only_its_own_parsers(argv, parsers, tmp_path):
+def test_a_call_builds_only_its_own_parsers(argv, tmp_path):
+    """A well-formed call builds no parser, so argparse never looks up a
+    translated message (the first lookup imports locale)."""
     table = tmp_path / "z3.grp"
     with open(table, "w", encoding="utf-8") as fh:
         gr.write_group_file(gr.build_standard("Z3"), fh)
@@ -672,7 +666,132 @@ def test_a_call_builds_only_its_own_parsers(argv, parsers, tmp_path):
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == f"parsers {parsers}"
+    assert proc.stderr.splitlines()[-1] == "parsers 0 locale False"
+
+
+def _perfbench_commands(tmp_path, monkeypatch):
+    """The argv of every pcurv13 call the benchmark's workloads make."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", SRC.parent / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it prepends perfbench/
+    spec.loader.exec_module(run)
+    # the argv does not depend on the table files, so none is built
+    monkeypatch.setattr(run.catalog, "build_group", lambda entry: None)
+    monkeypatch.setattr(run.catalog, "write_table", lambda group, path: None)
+    return [
+        inv.spec["argv"]
+        for workload in run.WORKLOADS.values()
+        for step in workload(1, tmp_path, run.EXPECTED)[0]
+        for inv in step.invocations
+        if inv.spec["kind"] == "cli"
+    ]
+
+
+def test_documented_and_benchmarked_calls_take_the_direct_parse(tmp_path, monkeypatch):
+    parser = cli.build_parser()
+    readme = [shlex.split(line)[1:] for line in _readme_commands()]
+    bench = _perfbench_commands(tmp_path, monkeypatch)
+    assert readme and bench
+    for argv in readme + bench:
+        args = cli._parse_leaf(argv)
+        assert args is not None, argv
+        assert args == parser.parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "theorem-a --rank 4",  # a bad choice
+        "bazaikin enumerate --bound 9 --format xml",
+        "theorem-a --rank 2 --rank 3",  # a repeated option
+        "theorem-a --rank 3 --json --json",
+        "bazaikin check 1 1 1 1 1 --json 1 1 1 1 1",  # a second positional run
+        "bazaikin check 1 1 --json 1 1 1",
+        "bazaikin check 1 1 1 1 1 1",
+        "bazaikin check 1 1 1 1",
+        "theorem-a --tr 3",  # an abbreviation
+        "theorem-a --rank=3",
+        "theorem-a --rank 3 -h",
+        "theorem-a --rank 3 --",
+        "ss verify --p x",
+        "ss verify --p -3",
+        "fixedpoint profiles --dim -3",
+        "bazaikin check -1 -1 -1 -1 -3",
+        "group build --burnside 7 3",
+        "group analyze --json",  # a missing required option
+        "ss",
+        "group analyse --in g.grp",
+    ],
+)
+def test_direct_parse_leaves_the_rest_to_argparse(argv):
+    assert cli._parse_leaf(argv.split()) is None
+
+
+# every option of any leaf, values of every kind, and what only argparse reads
+_OPTIONS = sorted({flags[0] for *_, arguments, _ in cli._LEAVES for flags, _ in arguments if flags[0][0] == "-"})
+_VALUES = ["0", "1", "2", "3", "7", "-1", "-3", "+5", "x", "json", "tsv", "mod3", "rational",
+           "S5", "empty", "cd:3", "1,4", "Z3", "g.grp", "", " 2"]
+_ODD = ["-h", "--help", "--", "--p=3", "--tr", "-", "extra"]
+FULL_PARSER = cli.build_parser()
+
+
+@st.composite
+def leaf_argv(draw):
+    """A leaf's path, then in any order: chunks for some of its own
+    arguments (the positional as a bare run of values), each mostly with as
+    many values as it takes and valid ones, and up to two chunks of noise
+    (another of its arguments again, any option or what only argparse reads)."""
+    path, _, arguments, _ = draw(st.sampled_from(cli._LEAVES))
+    own = [arg for arg in arguments if arg[1].get("required") or draw(st.integers(0, 3))]
+    stray = st.sampled_from([((flag,), {}) for flag in _OPTIONS + _ODD])
+    noise = draw(st.lists(st.one_of(st.sampled_from(arguments), stray), max_size=2))
+    chunks = []
+    for flags, kwargs in own + noise:
+        n = 0 if kwargs.get("action") == "store_true" else kwargs.get("nargs", 1)
+        choices = kwargs.get("choices") or (["1", "3", "19"] if kwargs.get("type") is int else ["S5", "1,4"])
+        valid = st.sampled_from([str(v) for v in choices])
+        value = st.one_of(valid, valid, st.sampled_from(_VALUES))
+        count = draw(st.sampled_from([n, n, n, n, n + 1, max(n - 1, 0)]))
+        chunks.append([flags[0]] * flags[0].startswith("-") + draw(st.lists(value, min_size=count, max_size=count)))
+    return list(path) + [tok for chunk in draw(st.permutations(chunks)) for tok in chunk]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=leaf_argv())
+# positional values split by an option, or one run too many
+@example(argv="bazaikin check 1 1 --json 1 1 1".split())
+@example(argv="bazaikin check 1 1 1 1 1 --json 3 3 3 3 3".split())
+@example(argv="bazaikin enumerate --bound 9 --format xml".split())
+def test_a_direct_parse_equals_the_full_parsers(argv):
+    args = cli._parse_leaf(argv)
+    if args is None:
+        return
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(err):
+            expected = FULL_PARSER.parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"{argv} parsed directly to {args}, but the full parser says {err.getvalue()}")
+    assert args == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["bazaikin enumerate --bound 49 --format tsv", "fixedpoint profiles --budget 1000 --dim 3"],
+)
+def test_a_closed_stdout_ends_the_call_quietly(argv):
+    """A reader that stops early (`| head -1`) gets its line; the call exits
+    1 with nothing on stderr, not with a BrokenPipeError traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pcurv13", *argv.split()], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # the output is far larger than the pipe holds
+    _, err = proc.communicate(timeout=60)
+    assert first.strip() and err == ""
+    assert proc.returncode == 1
 
 
 def test_python_dash_m_pcurv13_reads_its_command_line(capsys):
