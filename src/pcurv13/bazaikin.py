@@ -31,7 +31,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .gates import _gate
-from .gfp import is_prime
+from .gfp import _require_prime
 
 IndexPair = tuple[int, int]
 
@@ -135,8 +135,7 @@ def mod_p_betti(torsion_order: Fraction, p: int) -> tuple[int, ...]:
     """
     if torsion_order < 0:
         raise ValueError("torsion order is a magnitude")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if not _divides(p, torsion_order):
         return RATIONAL_BETTI
     return tuple(b + (5 <= k <= 8) for k, b in enumerate(RATIONAL_BETTI))

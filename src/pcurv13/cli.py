@@ -163,6 +163,8 @@ def cmd_fixedpoint_gysin(args) -> int:
         bF = None
     else:
         labels = [s.strip() for s in args.fixed.split(",") if s.strip()]
+        if not labels:
+            raise ValueError("--fixed wants 'empty' or at least one component")
         parts = [_parse_space(s) for s in labels]
         acc = [0] * (dim + 1)
         for label, b in zip(labels, parts):

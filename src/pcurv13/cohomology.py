@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .gfp import is_prime
+from .gfp import _require_prime
 
 
 def _betti(b: Sequence[int]) -> tuple[int, ...]:
@@ -146,8 +146,8 @@ class QuotientIndex:
             raise ValueError("kind must be 'cd' or 'zpxzp'")
         if self.value < 1:
             raise ValueError("index must be positive")
-        if self.kind == "zpxzp" and not is_prime(self.value):
-            raise ValueError(f"{self.value} is not prime")
+        if self.kind == "zpxzp":
+            _require_prime(self.value)
 
     @classmethod
     def parse(cls, text: str) -> "QuotientIndex":

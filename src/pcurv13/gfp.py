@@ -4,7 +4,9 @@ Everything here works on tuples of ints in [0, p).  Matrices are tuples of
 row vectors.  Dimensions in this package are tiny (at most 8), so the
 implementation favours clarity and hashability over speed; hot loops cache
 reduced bases.  One elimination loop, _eliminate, serves both rref and
-Subspace.reduce.  is_prime is the one primality test of the package.
+Subspace.reduce.  is_prime is the one primality test of the package and
+_require_prime its one guard; _combine, the one linear combination of
+basis vectors, serves preimage_subspace and the spectral sweep.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ Vec = tuple[int, ...]
 def is_prime(n: int) -> bool:
     """Trial division: the primes of this package are small."""
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def zero_vec(n: int) -> Vec:
@@ -85,6 +92,16 @@ class Subspace:
         return Subspace(self.p, self.n, list(self.basis) + [tuple(v) for v in vectors])
 
 
+def _combine(p: int, coords: Sequence[int], basis: Sequence[Sequence[int]], n: int) -> Vec:
+    """sum coords[i] * basis[i] in GF(p)^n."""
+    acc = [0] * n
+    for c, b in zip(coords, basis):
+        if c % p:
+            for i, x in enumerate(b):
+                acc[i] = (acc[i] + c * x) % p
+    return tuple(acc)
+
+
 def rank(rows: Iterable[Sequence[int]], p: int) -> int:
     return len(rref(rows, p))
 
@@ -108,15 +125,5 @@ def preimage_subspace(
     # give kernel combinations.
     aug = [list(reduced[i]) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
     red = rref(aug, p)
-    out: list[Vec] = []
     n = len(domain_basis[0])
-    for row in red:
-        if is_zero(row[:m]):
-            coeffs = row[m:]
-            acc = [0] * n
-            for c, b in zip(coeffs, domain_basis):
-                if c:
-                    for i, x in enumerate(b):
-                        acc[i] = (acc[i] + c * x) % p
-            out.append(tuple(acc))
-    return out
+    return [_combine(p, row[m:], domain_basis, n) for row in red if is_zero(row[:m])]

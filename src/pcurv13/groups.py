@@ -6,7 +6,9 @@ table (entries in range, the identity, Light's associativity test over a
 computed generating set, every power walk reaching the identity), so a
 GroupTable is a group and its rows and columns are permutations.  The table
 keeps that generating set: normality is tested by conjugating with the
-generators only, and the isomorphism search maps them.  Structural
+generators only, and the isomorphism search maps them.  One rule,
+_require_order, keeps every order in 1..ORDER_CAP, in GroupTable, the
+product and metacyclic builders and the file reader alike.  Structural
 queries are exact searches that the hard cap keeps small; normal_rank
 searches only normal subgroups above the centre, not every elementary
 abelian subgroup, whose number grows exponentially with the rank.
@@ -28,7 +30,8 @@ as a Python list, and element orders come from one power walk per cyclic
 subgroup, so both cost a few lookups per element.  The generating set that
 validation computes grows each closure from the last one, starting from the
 last closure times the new generator.  Membership of a product array in a
-subset is one index into a boolean mask of the subset.
+subset is one index into a boolean mask of the subset.  A SubgroupHandle
+is a sorted subgroup that its builder guarantees; it checks nothing.
 
 Subgroup patterns take two searches: one abelian-product search grows
 Z_p x Z_p, Z9xZ3 or Z3^3 a generator at a time over a numpy mask of the
@@ -49,13 +52,18 @@ from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
-from .gfp import is_prime
+from .gfp import _require_prime
 
 ORDER_CAP = 512
 
 
 class GroupError(ValueError):
     pass
+
+
+def _require_order(n: int) -> None:
+    if not 1 <= n <= ORDER_CAP:
+        raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
 
 
 def _element_orders(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +109,7 @@ class GroupTable:
         n = arr.shape[0]
         if arr.shape != (n, n):
             raise GroupError("multiplication table must be square")
-        if n < 1 or n > ORDER_CAP:
-            raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
+        _require_order(n)
         # before narrowing, which would wrap an entry like 65536 + k onto k
         if arr.min() < 0 or arr.max() >= n:
             raise GroupError("table entries out of range")
@@ -148,12 +155,6 @@ class GroupTable:
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupTable) and np.array_equal(self.table, other.table)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.table.tobytes()))
 
 
 def _validate_table(arr: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -243,29 +244,11 @@ def _generating_set(table: np.ndarray) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup of a parent group, as a sorted index set."""
+    """A subgroup of a parent group as a sorted index set, which its builder
+    guarantees: a closure by construction, the others by their own check."""
 
     parent: GroupTable
     elements: tuple[int, ...]
-
-    def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
-        object.__setattr__(self, "elements", elems)
-        if 0 not in elems:
-            raise GroupError("subgroup must contain the identity")
-        arr = np.array(elems)
-        if not _subset_mask(self.parent.order, arr)[self.parent.table[np.ix_(arr, arr)]].all():
-            raise GroupError("element set is not closed under multiplication")
-
-    @classmethod
-    def _closed(cls, parent: GroupTable, elements: tuple[int, ...]) -> "SubgroupHandle":
-        """Handle on a sorted index set that is a subgroup by construction,
-        such as a closure, or that its builder has just checked: skips the
-        |H|^2 check a caller's set gets."""
-        H = object.__new__(cls)
-        object.__setattr__(H, "parent", parent)
-        object.__setattr__(H, "elements", elements)
-        return H
 
     @property
     def order(self) -> int:
@@ -285,18 +268,11 @@ class SubgroupHandle:
 
 
 def closure(G: GroupTable, seed: Iterable[int]) -> SubgroupHandle:
-    return SubgroupHandle._closed(G, _closure_indices(G.table, seed))
+    return SubgroupHandle(G, _closure_indices(G.table, seed))
 
 
 # ---------------------------------------------------------------------------
 # constructions
-
-
-def _cyclic_table(n: int) -> np.ndarray:
-    if not 1 <= n <= ORDER_CAP:
-        raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
-    idx = np.arange(n, dtype=np.int16)
-    return (idx[:, None] + idx[None, :]) % n
 
 
 def _product_table(tables: Iterable[np.ndarray]) -> np.ndarray:
@@ -311,8 +287,7 @@ def _product_table(tables: Iterable[np.ndarray]) -> np.ndarray:
     T = next(tables)
     for H in tables:
         n1, n2 = len(T), len(H)
-        if n1 * n2 > ORDER_CAP:
-            raise GroupError(f"product order {n1 * n2} exceeds cap {ORDER_CAP}")
+        _require_order(n1 * n2)
         T = (T[:, None, :, None] * n2 + H[None, :, None, :]).reshape(n1 * n2, n1 * n2)
     return T
 
@@ -322,11 +297,10 @@ def _metacyclic_table(m: int, n: int, r: int) -> np.ndarray:
 
     Every caller passes positive m, n with r^n = 1 (mod m), which makes it
     a group (the twisting automorphism has order dividing n) that GroupTable
-    proves; only the cap is checked, before allocation.  No coprimality is
+    proves; only the order m*n is checked, before allocation.  No coprimality is
     imposed here; see build_burnside for the classified family.
     """
-    if m * n > ORDER_CAP:
-        raise GroupError(f"order {m * n} exceeds cap {ORDER_CAP}")
+    _require_order(m * n)
     # (i, j) has index i*n + j: the entry at row (i, j), column (i', j') is the
     # first coordinate (on m*n*m cells, R_j i' in int64) times n plus the
     # second, added in int16 (every index is below ORDER_CAP)
@@ -479,7 +453,7 @@ def sylow(G: GroupTable, p: int) -> SubgroupHandle:
     _require_prime(p)
     target = _p_part(G.order, p)
     if target == 1:
-        return SubgroupHandle._closed(G, (0,))
+        return SubgroupHandle(G, (0,))
     # an element order divides |G|, so it divides the p-part exactly when
     # it is a power of p
     p_elems = np.flatnonzero(target % G.element_order == 0)[1:].tolist()
@@ -496,7 +470,7 @@ def sylow(G: GroupTable, p: int) -> SubgroupHandle:
                 break
         else:  # pragma: no cover - impossible for a genuine group
             raise GroupError("Sylow growth stalled")
-    return SubgroupHandle._closed(G, tuple(sorted(current)))
+    return SubgroupHandle(G, tuple(sorted(current)))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -505,11 +479,6 @@ def _p_part(n: int, p: int) -> int:
     while n % (part * p) == 0:
         part *= p
     return part
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise GroupError(f"{p} is not prime")
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -691,7 +660,7 @@ def normal_p_complement(G: GroupTable, p: int) -> Optional[SubgroupHandle]:
         return None
     if not _subset_mask(G.order, coprime)[G.table[np.ix_(coprime, coprime)]].all():
         return None
-    return SubgroupHandle._closed(G, tuple(coprime.tolist()))
+    return SubgroupHandle(G, tuple(coprime.tolist()))
 
 
 def min_cyclic_index(G: GroupTable) -> int:
@@ -707,7 +676,7 @@ def davis_decomposition(G: GroupTable) -> Optional[tuple[int, SubgroupHandle]]:
     order 2^a is normal iff it holds all 2^a elements of 2-power order.
     """
     if G.order % 2:
-        return 1, SubgroupHandle._closed(G, tuple(range(G.order)))
+        return 1, SubgroupHandle(G, tuple(range(G.order)))
     N = normal_p_complement(G, 2)
     if N is None:
         return None
@@ -802,7 +771,7 @@ def _term_table(term: str) -> np.ndarray:
     if not m:
         raise GroupError(f"unknown group name {term!r}")
     if m.group("cyc"):
-        return _cyclic_table(int(m.group("cyc")))
+        return _metacyclic_table(int(m.group("cyc")), 1, 1)
     if m.group("semi"):
         return _metacyclic_table(*_Z9_SEMI_Z3)
     if m.group("s3"):
@@ -829,8 +798,7 @@ def read_group_file(path) -> GroupTable:
         if not header.startswith("order "):
             raise GroupError("group file must start with 'order n'")
         n = int(header.split()[1])
-        if not 1 <= n <= ORDER_CAP:
-            raise GroupError(f"order {n} outside supported range 1..{ORDER_CAP}")
+        _require_order(n)
         try:
             with warnings.catch_warnings():
                 # an empty body is reported below as a row count of 0

@@ -62,7 +62,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 from .gates import _gate
 from .gfp import (
     Subspace,
-    is_prime,
+    _combine,
+    _require_prime,
     is_zero,
     preimage_subspace,
     rank,
@@ -115,8 +116,7 @@ def base_dim(k: int) -> int:
 def _require_odd_prime(p: int) -> None:
     if p == 2:
         raise ValueError("the engine requires an odd prime")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
 
 
 @lru_cache(maxsize=None)
@@ -342,15 +342,6 @@ def _quotient_reps(cycle_basis: Iterable[Vec], bnd: Subspace) -> list[Vec]:
             reps.append(z)
             cur = cur.join([z])
     return reps
-
-
-def _combine(p: int, coords: Sequence[int], reps: Sequence[Vec], ambient: int) -> Vec:
-    acc = [0] * ambient
-    for c, r in zip(coords, reps):
-        if c % p:
-            for i, x in enumerate(r):
-                acc[i] = (acc[i] + c * x) % p
-    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------

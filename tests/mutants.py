@@ -71,6 +71,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the order cap lets one element too many through",
+        "groups.py",
+        "if not 1 <= n <= ORDER_CAP:",
+        "if not 1 <= n <= ORDER_CAP + 1:",
+        (
+            "tests/test_cli.py::test_size_inputs_run_at_their_largest_value_and_reject_the_next",
+        ),
+    ),
+    Mutant(
         "the centre mask takes an element whose row meets its column anywhere",
         "groups.py",
         "(self.table == self.table.T).all(axis=1)",
@@ -167,8 +176,8 @@ MUTANTS = (
     Mutant(
         "a zpxzp quotient index need not be prime",
         "cohomology.py",
-        'if self.kind == "zpxzp" and not is_prime(self.value):',
-        "if False:",
+        "_require_prime(self.value)",
+        "pass",
         (
             "tests/test_package.py::test_prime_checks_reject_exactly_the_non_primes",
             "tests/test_cli.py::test_invalid_input_exits_2_with_one_error_line",

@@ -508,6 +508,8 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
             "fixedpoint gysin --space S5 --fixed S7",
             "fixed component 'S7' has dimension 7, above the dimension 5 of 'S5'",
         ),
+        ("fixedpoint gysin --space S5 --fixed ,", "--fixed wants 'empty' or at least one component"),
+        ("fixedpoint gysin --space S5 --fixed ''", "--fixed wants 'empty' or at least one component"),
         (
             "fixedpoint obstruct --group xx:3 --lef 1",
             "bad --group (want cd:D or zpxzp:P): kind must be 'cd' or 'zpxzp'",
@@ -552,6 +554,14 @@ def test_emit_writes_one_document_in_one_call(monkeypatch):
             "group build --name Z513", "order 513 outside supported range 1..512",
         ),
         (
+            "group build --name 'Z2 x Z256'", 5,
+            "group build --name 'Z3 x Z171'", "order 513 outside supported range 1..512",
+        ),
+        (
+            "group build --burnside 512 1 1", 5,
+            "group build --burnside 513 1 1", "order 513 outside supported range 1..512",
+        ),
+        (
             "group analyze --in {tmp}/512.grp", 5,
             "group analyze --in {tmp}/513.grp",
             "cannot read group table: order 513 outside supported range 1..512",
@@ -562,7 +572,7 @@ def test_emit_writes_one_document_in_one_call(monkeypatch):
             "fixedpoint profiles --dim 1000000", "component dimension must be odd",
         ),
     ],
-    ids=["bound", "budget", "p", "name", "table-order", "dim"],
+    ids=["bound", "budget", "p", "name", "product", "burnside", "table-order", "dim"],
 )
 def test_size_inputs_run_at_their_largest_value_and_reject_the_next(
     largest, limit_s, next_value, line, tmp_path, capsys
@@ -573,13 +583,13 @@ def test_size_inputs_run_at_their_largest_value_and_reject_the_next(
         gr.write_group_file(gr.build_standard("Z512"), fh)
     (tmp_path / "513.grp").write_text("order 513\n")
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *largest.format(tmp=tmp_path).split())
+    code, out, err = run_cli(capsys, *shlex.split(largest.format(tmp=tmp_path)))
     assert (code, err) == (0, "")
     assert time.perf_counter() - start < limit_s
     if largest.startswith("bazaikin"):
         assert json.loads(out)["count"] == 18981
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *next_value.format(tmp=tmp_path).split())
+    code, out, err = run_cli(capsys, *shlex.split(next_value.format(tmp=tmp_path)))
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", f"error: {line}\n")
 

@@ -702,7 +702,7 @@ def normal_rank_by_walk(G, p):
 
 def d8_times_z2(k):
     """Dihedral group of order 8 times k copies of Z2."""
-    return gr._product_table([gr._metacyclic_table(4, 2, 3)] + [gr._cyclic_table(2)] * k)
+    return gr._product_table([gr._metacyclic_table(4, 2, 3)] + [gr._metacyclic_table(2, 1, 1)] * k)
 
 
 def extraspecial_table(k):
@@ -1014,14 +1014,3 @@ def test_is_isomorphic_past_every_prefilter():
         perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
         inv = np.argsort(perm)
         assert gr.is_isomorphic(G, gr.GroupTable(perm[G.table[np.ix_(inv, inv)]]))
-
-
-def test_subgroup_handle_rejects_non_closed_sets():
-    G = gr.build_standard("S3")
-    with pytest.raises(gr.GroupError, match="not closed"):
-        gr.SubgroupHandle(G, (0, 2))
-    with pytest.raises(gr.GroupError, match="not closed"):
-        gr.SubgroupHandle(gr.build_standard("Z6"), (0, 2, 3))
-    with pytest.raises(gr.GroupError, match="identity"):
-        gr.SubgroupHandle(G, (1, 2))
-    assert gr.SubgroupHandle(G, (0, 2, 4)).order == 3

@@ -44,11 +44,12 @@ def _sieve(n):
 
 
 def test_prime_checks_reject_exactly_the_non_primes():
-    # the four checks that take a prime reject the non-primes in 0..200
-    # with one message, and only them; spectral also rejects 2, and the
-    # quotient index 0, in their own words
+    # the four callers of the one prime guard reject the non-primes in
+    # 0..200 with one message, and only them; spectral also rejects 2, and
+    # the quotient index 0, in their own words
+    Z6 = groups.build_standard("Z6")
     checks = [
-        (groups._require_prime, {}),
+        (lambda p: groups.sylow_is_cyclic(Z6, p), {}),
         (lambda p: bazaikin.mod_p_betti(Fraction(1), p), {}),
         (lambda p: cohomology.QuotientIndex("zpxzp", p), {0: "index must be positive"}),
         (spectral._require_odd_prime, {2: "the engine requires an odd prime"}),
@@ -64,6 +65,32 @@ def test_prime_checks_reject_exactly_the_non_primes():
             else:
                 with pytest.raises(ValueError, match=f"^{p} is not prime$"):
                     check(p)
+
+
+def test_each_shared_error_is_raised_by_one_function():
+    # the prime guard and the order cap are one rule each: a second function
+    # raising the same words is a copy that can drift from the first
+    raisers = {"is not prime": set(), "outside supported range": set()}
+    for path in sorted((SRC / "pcurv13").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        # ast.walk is breadth-first, so a nested function's name overwrites
+        # its enclosing one's
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                text = "".join(
+                    c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+                for message, where in raisers.items():
+                    if message in text:
+                        where.add(f"{path.stem}.{owner.get(node, '<module>')}")
+    assert raisers == {
+        "is not prime": {"gfp._require_prime"},
+        "outside supported range": {"groups._require_order"},
+    }
 
 
 def test_surviving_odd_primes_are_the_odd_primes_dividing_the_value():

@@ -195,7 +195,7 @@ def _random_valid_choice(p, rng):
             if all(c == 0 for c in om):
                 w = kw.get("d4x")
                 wvec = (
-                    ss._combine(p, w, frame.page40_reps(), ss.base_dim(4))
+                    gfp._combine(p, w, frame.page40_reps(), ss.base_dim(4))
                     if w is not None
                     else (0,) * ss.base_dim(4)
                 )
@@ -661,7 +661,7 @@ def test_tau_classes_match_page_engine_row5(p, monkeypatch):
             reps = fr.page40_reps()
             d4x = next(
                 c for c in product(range(p), repeat=len(reps))
-                if ss._combine(p, c, reps, ss.base_dim(4)) == w
+                if gfp._combine(p, c, reps, ss.base_dim(4)) == w
             )
         d4xy = (0,) * len(fr.page42_reps())
         k = len(tau_reps)
@@ -730,7 +730,7 @@ def page_engine_choices(p, fr, d4x_values):
         if not fr.xy_alive4:
             yield ss.DifferentialChoice(**base)
             continue
-        w = ss._combine(p, cw or (), fr.page40_reps(), ss.base_dim(4))
+        w = gfp._combine(p, cw or (), fr.page40_reps(), ss.base_dim(4))
         tau_dim = len(fr.page60_reps(w))
         for com in product(range(p), repeat=om_dim):
             if any(com):
