@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -381,12 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# a word that starts with '-' and is no negative number by argparse's
+# pattern (^-\d+$|^-\d*\.\d+$): no option of any leaf looks like one
+_OPTION = re.compile(r"-(?!\d+$|\d*\.\d+$)")
+
+
 def _parse_leaf(argv) -> argparse.Namespace | None:
     """The namespace the full parser returns for argv, read off the entry
     of the command argv names, or None for anything but a plain well-formed
     call (help, an unknown, abbreviated, repeated or --opt=value option, a
-    value starting with '-', a missing required argument, a bad int or
-    choice, positional values that are not one run of the right length)."""
+    value starting with '-' but no negative number, a missing required
+    argument, a bad int or choice, positional values that are not one run
+    of the right length)."""
     for path, _, arguments, func in _LEAVES:
         if tuple(argv[: len(path)]) == path:
             break
@@ -401,7 +408,7 @@ def _parse_leaf(argv) -> argparse.Namespace | None:
         values[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
     seen, rest = set(), list(argv[len(path):])
     while rest:
-        key = rest.pop(0) if rest[0].startswith("-") else None
+        key = rest.pop(0) if _OPTION.match(rest[0]) else None
         if key not in spec or key in seen:  # a second positional run repeats None
             return None
         seen.add(key)
@@ -411,7 +418,7 @@ def _parse_leaf(argv) -> argparse.Namespace | None:
             continue
         n = kwargs.get("nargs") or 1
         words, rest = rest[:n], rest[n:]
-        if len(words) < n or any(w.startswith("-") for w in words):
+        if len(words) < n or any(map(_OPTION.match, words)):
             return None
         try:
             converted = [kwargs.get("type", str)(w) for w in words]

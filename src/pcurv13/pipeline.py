@@ -14,13 +14,16 @@ replayed via the operation registry.  The registry computes each distinct
 step (op name and inputs) once per process: a step that recurs in several
 branches reuses the first output, while a replay in a fresh interpreter
 re-derives every distinct step.
+
+Trace values are stored as JSON, sets as sorted lists: the registry keeps
+each output as JSON text and the tracer records inputs as JSON reads them
+back, so a trace replays the same live and from a saved ``--json``.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -94,7 +97,7 @@ class TraceStep:
     note: str = ""
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ class ObstructionReport:
         ]
         for s in self.case_trace:
             if s.kind == "axiom":
-                lines.append(f"[{s.tag}] axiom {s.name}: {AXIOMS[s.name]}")
+                lines.append(f"[{s.tag}] axiom {s.name}: {s.output}")
             else:
                 args = ", ".join(f"{k}={v!r}" for k, v in s.inputs.items())
                 lines.append(f"[{s.tag}] {s.name}({args}) -> {s.output!r}")
@@ -143,10 +146,6 @@ class ObstructionReport:
 # operation registry: every "op" trace step replays through these
 
 
-def _rational_betti() -> list[int]:
-    return list(bazaikin.RATIONAL_BETTI)
-
-
 def _mod3_betti_totals() -> dict:
     return {
         bazaikin.MOD3_CP2xS9: sum(bazaikin.mod_p_betti(Fraction(1), 3)),
@@ -160,21 +159,12 @@ def _even_betti_total(betti: list[int]) -> int:
 
 def _smith_gysin(betti_x: list[int], dim: int) -> dict:
     sols = cohomology.smith_gysin_solve(betti_x, None, dim)
-    return {
-        "solutions": [list(R) for R in sols],
-        "chi_bar": [cohomology.euler_char(R) for R in sols],
-    }
-
-
-def _lefschetz_values(dims: list[int], odd_order: bool) -> list[int]:
-    return sorted(cohomology.lefschetz_value_set(dims, odd_order))
+    return {"solutions": sols, "chi_bar": [cohomology.euler_char(R) for R in sols]}
 
 
 def _divisibility(kind: str, value: int, lef_values: list[int]) -> dict:
-    surviving = cohomology.divisibility_obstruction(
-        cohomology.QuotientIndex(kind, value), lef_values
-    )
-    return {"excluded": not surviving, "surviving": sorted(surviving)}
+    surviving = cohomology.divisibility_obstruction(cohomology.QuotientIndex(kind, value), lef_values)
+    return {"excluded": not surviving, "surviving": surviving}
 
 
 def _odd_divisor_candidates(values: list[int]) -> list[int]:
@@ -192,14 +182,6 @@ def _odd_divisor_candidates(values: list[int]) -> list[int]:
 def _surviving_odd_primes(values: list[int]) -> list[int]:
     cands = _odd_divisor_candidates(values)
     return [d for d in cands if d > 2 and is_prime(d)]
-
-
-def _enumerate_profiles(budget: int, dim: int) -> list[list[str]]:
-    return [list(p) for p in cohomology.enumerate_profiles(budget, dim)]
-
-
-def _component_census(budget: int) -> list[list]:
-    return [[name, list(prof)] for name, prof in cohomology.mod_p_component_census(budget)]
 
 
 def _small_normal_quotient_index(name: str) -> int:
@@ -270,21 +252,25 @@ def _ss_verdict(p: int) -> dict:
     }
 
 
-# (op name, inputs as canonical JSON) -> output, for this process
-_OUTPUTS: dict[tuple[str, str], object] = {}
+# the one encoding of a trace value: JSON, sets as sorted lists, key order kept
+_json_text = json.JSONEncoder(default=sorted).encode
+
+
+# (op name, inputs as canonical JSON) -> output as JSON text, for this process
+_OUTPUTS: dict[tuple[str, str], str] = {}
 
 
 def _once_per_process(name: str, fn: Callable) -> Callable:
     """``fn`` evaluated once per distinct input.  Every op is a pure function
-    of plain JSON inputs, as replay already assumes.  Each call returns a
-    deep copy of the stored output, so no two steps share a mutable object;
-    an op that raises stores nothing."""
+    of plain JSON inputs, as replay already assumes.  Each call decodes the
+    stored text afresh, so no two steps share a mutable object; an op that
+    raises stores nothing."""
 
     def op(**inputs):
         key = (name, json.dumps(inputs, sort_keys=True))
         if key not in _OUTPUTS:
-            _OUTPUTS[key] = fn(**inputs)
-        return copy.deepcopy(_OUTPUTS[key])
+            _OUTPUTS[key] = _json_text(fn(**inputs))
+        return json.loads(_OUTPUTS[key])
 
     return op
 
@@ -292,23 +278,21 @@ def _once_per_process(name: str, fn: Callable) -> Callable:
 OPS: dict[str, Callable] = {
     name: _once_per_process(name, fn)
     for name, fn in {
-        "bazaikin.rational_betti": _rational_betti,
+        "bazaikin.rational_betti": lambda: bazaikin.RATIONAL_BETTI,
         "bazaikin.mod3_betti_totals": _mod3_betti_totals,
         "cohomology.even_betti_total": _even_betti_total,
         "cohomology.davis_parity": lambda betti: cohomology.davis_parity(betti),
         "cohomology.smith_gysin_solve": _smith_gysin,
-        "cohomology.lefschetz_value_set": _lefschetz_values,
+        "cohomology.lefschetz_value_set": lambda dims, odd_order: cohomology.lefschetz_value_set(dims, odd_order),
         "cohomology.divisibility_obstruction": _divisibility,
         "cohomology.odd_divisor_candidates": _odd_divisor_candidates,
         "cohomology.surviving_odd_primes": _surviving_odd_primes,
         "cohomology.borel_feasible": lambda codim_total, circle_codims: (
             cohomology.borel_feasible(codim_total, circle_codims)
         ),
-        "cohomology.enumerate_profiles": _enumerate_profiles,
-        "cohomology.frankel_compatible": lambda dims, ambient: (
-            cohomology.frankel_compatible(dims, ambient)
-        ),
-        "cohomology.mod_p_component_census": _component_census,
+        "cohomology.enumerate_profiles": lambda budget, dim: cohomology.enumerate_profiles(budget, dim),
+        "cohomology.frankel_compatible": lambda dims, ambient: cohomology.frankel_compatible(dims, ambient),
+        "cohomology.mod_p_component_census": lambda budget: cohomology.mod_p_component_census(budget),
         "groups.small_normal_quotient_index": _small_normal_quotient_index,
         "groups.three_group_options": _three_group_options,
         "groups.normal_rank": _normal_rank_by_name,
@@ -337,8 +321,9 @@ class _Tracer:
         self.steps: list[TraceStep] = []
 
     def op(self, _tag: str, _opname: str, note: str = "", _expect=None, **inputs):
-        """Run and record a registry op; a given ``_expect`` is a proof gate
-        on its output."""
+        """Run and record a registry op on its inputs as JSON reads them back;
+        a given ``_expect`` is a proof gate on its output."""
+        inputs = json.loads(_json_text(inputs))
         out = OPS[_opname](**inputs)
         self.steps.append(
             TraceStep(
@@ -473,7 +458,7 @@ def _lefschetz_steps(
     Lefschetz numbers odd-order isometries realize on the quotient, and keep
     the odd primes they allow; ``expect`` and ``notes`` go to the three
     steps in that order."""
-    betti_x = list(cohomology.COMPONENT_BETTI[component])
+    betti_x = cohomology.COMPONENT_BETTI[component]
     gys = tr.op(
         tag,
         "cohomology.smith_gysin_solve",

@@ -169,9 +169,16 @@ MUTANTS = (
     Mutant(
         "the memo hands out its stored output",
         "pipeline.py",
-        "return copy.deepcopy(_OUTPUTS[key])",
-        "return _OUTPUTS[key]",
+        "return json.loads(_OUTPUTS[key])",
+        'return _OUTPUTS.setdefault((key, "decoded"), json.loads(_OUTPUTS[key]))',
         ("tests/test_pipeline.py::test_registry_hit_is_an_independent_copy",),
+    ),
+    Mutant(
+        "the tracer records its inputs as passed",
+        "pipeline.py",
+        "inputs = json.loads(_json_text(inputs))",
+        "pass",
+        ("tests/test_pipeline.py::test_a_trace_read_from_its_json_equals_the_live_trace",),
     ),
     Mutant(
         "a zpxzp quotient index need not be prime",
@@ -239,6 +246,128 @@ MUTANTS = (
         (
             "tests/test_cohomology.py::test_profile_census_budget6",
             "tests/test_cohomology.py::test_profile_census_matches_multiset_oracle",
+        ),
+    ),
+    Mutant(
+        "the normal-rank search grows S by z without [z, g] in S",
+        "groups.py",
+        "for z in zs[inS[comm].all(axis=1)].tolist():",
+        "for z in zs.tolist():",
+        ("tests/test_groups.py::test_normal_rank_matches_the_walk[D16]",),
+    ),
+    Mutant(
+        "the normal-rank search starts from the whole centre",
+        "groups.py",
+        "G.central & (p % G.element_order == 0)",
+        "G.central",
+        ("tests/test_groups.py::test_normal_rank",),
+    ),
+    Mutant(
+        "the Smith-Gysin interval one short at its upper end",
+        "cohomology.py",
+        "range(rank_in, rank_in + x[i] + 1)",
+        "range(rank_in, rank_in + x[i])",
+        (
+            "tests/test_cohomology.py::test_solutions_pass_independent_oracle",
+            "tests/test_cohomology.py::test_solutions_with_fixed_set_match_oracle",
+        ),
+    ),
+    Mutant(
+        "the Smith-Gysin interval one lower at its lower end",
+        "cohomology.py",
+        "range(rank_in, rank_in + x[i] + 1)",
+        "range(max(rank_in - 1, 0), rank_in + x[i] + 1)",
+        (
+            "tests/test_cohomology.py::test_solutions_pass_independent_oracle",
+            "tests/test_cohomology.py::test_solutions_with_fixed_set_match_oracle",
+        ),
+    ),
+    Mutant(
+        "the census walks the count ranges in vocabulary order",
+        "cohomology.py",
+        "for backwards in product(*reversed(ranges)):\n        counts = backwards[::-1]",
+        "for counts in product(*ranges):",
+        ("tests/test_cohomology.py::test_profile_census_budget6",),
+    ),
+    Mutant(
+        "the census admits a type with b1 != 0",
+        "cohomology.py",
+        "b[:2] == (1, 0)",
+        "b[0] == 1",
+        ("tests/test_cli.py::test_fixedpoint_profiles_of_circles_are_empty",),
+    ),
+    Mutant(
+        "the mod-p census b2 range one short",
+        "cohomology.py",
+        "(per_component_budget - 2) // 2 - b1 + 1)",
+        "(per_component_budget - 2) // 2 - b1)",
+        ("tests/test_cohomology.py::test_mod_p_component_census",),
+    ),
+    Mutant(
+        "every abelian group read as having cyclic Sylow subgroups",
+        "groups.py",
+        "return G.exponent == G.order",
+        "return G.exponent == G.order or G.is_abelian",
+        (
+            "tests/test_groups.py::test_all_sylow_cyclic",
+            "tests/test_groups.py::test_all_sylow_cyclic_matches_every_sylow_subgroup",
+        ),
+    ),
+    Mutant(
+        "the canonical form breaks a sign tie by the smaller candidate",
+        "bazaikin.py",
+        "return max(plus, minus)",
+        "return min(plus, minus)",
+        ("tests/test_bazaikin.py::test_canonicalize_examples",),
+    ),
+    Mutant(
+        "the profile budget cap lets one budget too many through",
+        "cohomology.py",
+        "if total_betti_budget > MAX_PROFILE_BUDGET:",
+        "if total_betti_budget > MAX_PROFILE_BUDGET + 1:",
+        ("tests/test_cli.py::test_size_inputs_run_at_their_largest_value_and_reject_the_next",),
+    ),
+    Mutant(
+        "the memo stores an output before its op has run",
+        "pipeline.py",
+        "_OUTPUTS[key] = _json_text(fn(**inputs))",
+        '_OUTPUTS[key] = "null"; _OUTPUTS[key] = _json_text(fn(**inputs))',
+        ("tests/test_pipeline.py::test_registry_stores_no_raising_op",),
+    ),
+    Mutant(
+        "the memo key leaves out the inputs",
+        "pipeline.py",
+        "key = (name, json.dumps(inputs, sort_keys=True))",
+        'key = (name, "")',
+        (
+            "tests/test_pipeline.py::test_rank2_rational_bounds",
+            "tests/test_pipeline.py::test_every_trace_step_replays",
+        ),
+    ),
+    Mutant(
+        "the zero frame drops its last d4(xy) orbit",
+        "spectral.py",
+        "[(w, n // (p - 1)) for w, n in d4x_orbits if any(w)]",
+        "[(w, n // (p - 1)) for w, n in d4x_orbits if any(w)][:-1]",
+        ("tests/test_spectral.py::test_exhaustive_verdict_p3",),
+    ),
+    Mutant(
+        "a new generator's closure starts from the generator alone",
+        "groups.py",
+        "frontier = list({columns[-1][a] for a in elems} - elems)",
+        "frontier = [g]",
+        (
+            "tests/test_groups.py::test_generating_set_matches_the_from_scratch_closures_on_every_single_cell_change",
+        ),
+    ),
+    Mutant(
+        "the catalog walk tests 11 of the 12 q5 pairs",
+        "bazaikin.py",
+        "_failing_pairs(q, _Q5_PAIRS)",
+        "_failing_pairs(q, _Q5_PAIRS[:-1])",
+        (
+            "tests/test_bazaikin.py::test_enumerate_matches_the_unsplit_freeness_loop[29]",
+            "tests/test_bazaikin.py::test_enumerate_matches_the_unsplit_freeness_loop[39]",
         ),
     ),
 )

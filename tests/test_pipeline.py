@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pcurv13 import cohomology as ch
-from pcurv13 import gates, groups
+from pcurv13 import cli, gates, groups
 from pcurv13 import pipeline as pl
 
 SRC = Path(pl.__file__).resolve().parent
@@ -66,6 +66,16 @@ def test_every_trace_step_replays():
         rep = pl.theorem_a_report(pl.ScenarioInput(rank, coh))
         for step in rep.case_trace:
             assert pl.replay_step(step), (rank, coh, step.name)
+
+
+@pytest.mark.parametrize("rank, coh", [(2, pl.RATIONAL), (2, pl.MOD3), (3, pl.RATIONAL)])
+def test_a_trace_read_from_its_json_equals_the_live_trace(rank, coh, capsys):
+    """The steps rebuilt from `theorem-a --json`, as a replay from disk
+    rebuilds them, equal the live steps, inputs and outputs included."""
+    assert cli.main(["theorem-a", "--rank", str(rank), "--cohomology", coh, "--json"]) == 0
+    saved = json.loads(capsys.readouterr().out)["trace"]
+    report = pl.theorem_a_report(pl.ScenarioInput(rank, coh))
+    assert [pl.TraceStep(**s) for s in saved] == list(report.case_trace)
 
 
 def test_axioms_used_are_the_trace_axiom_steps():
@@ -331,6 +341,18 @@ def test_registry_hit_is_an_independent_copy():
     first["hypothesis_met"].append("Z27")
     first["all_small"] = False
     assert op() == {"hypothesis_met": ["Z3xZ3", "Z9semiZ3"], "all_small": True}
+
+
+def test_registry_hands_out_json_values():
+    """An op's output reaches every caller as JSON reads it back: a tuple
+    as a list, a set as a sorted list, an int key as a string."""
+    op = pl._once_per_process(
+        "test.json_values", lambda: [(1, 2), frozenset({3, 1, 2}), {5: "five"}]
+    )
+    first = op()
+    second = op()
+    assert first == [[1, 2], [1, 2, 3], {"5": "five"}]
+    assert first == second and first is not second
 
 
 def test_replay_after_a_live_run_still_stops_a_changed_output():
