@@ -11,17 +11,24 @@ basis vectors, serves preimage_subspace and the spectral sweep.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
 
+PRIME_CAP = 2**31 - 1  # the largest prime _require_prime accepts
+
 
 def is_prime(n: int) -> bool:
     """Trial division: the primes of this package are small."""
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _require_prime(p: int) -> None:
+    """Reject p unless it is a prime at most PRIME_CAP, where trial division
+    takes at most some 46000 steps."""
+    if p > PRIME_CAP:
+        raise ValueError(f"{p} is above the largest supported prime {PRIME_CAP}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 

@@ -33,20 +33,25 @@ the admissible choices over one (d2, d3y) frame bijectively onto those
 over the image frame, and both the number of choices and the minimum
 number of degree-6 survivors are constant on orbits.  The sweep
 evaluates one frame per orbit and weights its count by the orbit size.
-The whole group fixes the zero frame (d2 = 0, d3y = 0), so there it
-also moves d4(x) and d4(xy), both valued in R_4, without changing their
-shares of the degree-6 survivors; one orbit build on R_4 reduces both
-loops, d4(x) to one value per orbit and d4(xy) to one line per nonzero
-orbit.
+An orbit is the class of a complete invariant read off normal forms:
+d3y is a 2x2 matrix whose symmetric part is a binary quadratic form,
+classified by its rank and the square class of its discriminant, and
+whose antisymmetric part scales with it (2p + 12 frame orbits, see
+_frame_orbits).  The whole group fixes the zero frame (d2 = 0, d3y = 0),
+so there it also moves d4(x) and d4(xy), both valued in R_4, without
+changing their shares of the degree-6 survivors; its 10 orbits on R_4
+(see _zero_frame_d4x_orbits) reduce both loops, d4(x) to one value per
+orbit and d4(xy) to one line per nonzero orbit.
 
 Lines.  The two rescalings scale d2 and d3y independently, so every
-orbit is a union of products of lines, and the orbits are built on one
-point per line.  Inside a frame, what d4(x), d4(xy) and d6(xy) do to the
-degree-6 spots depends only on their lines: ranks and kernels of
-multiplication by a vector, and spans joined with it, do not change when
-the vector is scaled by a nonzero c.  So the d4(x) loop takes zero and
-one point per line, the one with leading coordinate 1, weighted p - 1,
-and the d4(xy) and d6 minima run over one point per nonzero line.
+orbit is a union of products of lines, and the orbit walk takes one
+point per product of lines, standing for p - 1 points per nonzero entry.
+Inside a frame, what d4(x), d4(xy) and d6(xy) do to the degree-6 spots
+depends only on their lines: ranks and kernels of multiplication by a
+vector, and spans joined with it, do not change when the vector is
+scaled by a nonzero c.  So the d4(x) loop takes zero and one point per
+line, the one with leading coordinate 1, weighted p - 1, and the d4(xy)
+and d6 minima run over one point per nonzero line.
 
 Linear algebra is exact over GF(p); everything is deterministic.
 """
@@ -57,7 +62,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .gates import _gate
 from .gfp import (
@@ -468,17 +473,17 @@ def exhaustive_verdict(p: int) -> VerdictReport:
     of survivors in total degree 6 and a choice attaining it.
 
     The (d2, d3y) frames are grouped into orbits of GL_2(F_p) x the fiber
-    rescalings (see the module docstring), built on one point per line;
-    one frame per orbit is evaluated, the first in sweep order, and its
-    choice count is weighted by the orbit size.  The per-frame count and
-    minimum are invariant under the group, so the total and the minimum
-    equal those of the full sweep, and the reported minimizer is the one
-    the full sweep would report.  On the zero frame, which the group fixes,
-    one orbit build on R_4 reduces both d4 loops: d4(x) takes one value
-    per orbit, weighted by its size, and d4(xy) one line per nonzero
-    orbit, weighted by its number of lines.  Elsewhere the d4 values are
-    taken one per line, and the remaining coordinates act on the four
-    degree-6 spots through class-invariant quantities with separable
+    rescalings, the classes of a complete invariant over one point per line
+    (see the module docstring); one frame per orbit is evaluated, the first
+    in sweep order, and its choice count is weighted by the orbit size.
+    The per-frame count and minimum are invariant under the group, so the
+    total and the minimum equal those of the full sweep, and the reported
+    minimizer is the one the full sweep would report.  On the zero frame,
+    which the group fixes, the orbits on R_4 reduce both d4 loops: d4(x)
+    takes one value per orbit, weighted by its size, and d4(xy) one line
+    per nonzero orbit, weighted by its number of lines.  Elsewhere the d4
+    values are taken one per line, and the remaining coordinates act on the
+    four degree-6 spots through class-invariant quantities with separable
     couplings, so their loops factor exactly.  ``stats`` reports what was
     evaluated and where the time went.
     """
@@ -530,10 +535,30 @@ def exhaustive_verdict(p: int) -> VerdictReport:
 
 def _frame_orbits(p: int) -> list[tuple[Frame, int]]:
     """(first frame, number of frames) per orbit of GL_2(F_p) x the
-    rescalings on (d2, d3y) frames, built on one point per product of
-    lines.  Frames are walked in sweep order: d2 lexicographically, then
-    d3y by its coordinates in the kernel basis of d2, so the first point of
-    the reduced orbit is the orbit's first frame."""
+    rescalings on (d2, d3y) frames.  The frames are walked in sweep order
+    on one point per product of lines: d2 lexicographically, then d3y by its
+    coordinates in the kernel basis of d2, so the first point of a class is
+    its orbit's first frame.
+
+    The key is a complete invariant.  With lambda = alpha/beta, the group
+    sends the t-part (a1, a2) of d2 to lambda g (a1, a2), a3 to lambda
+    det(g) a3, and d3y = sum m_ij s_i t_j, a 2x2 matrix M, to beta g M g^T.
+    So the quadratic form q = m11 x^2 + (m12 + m21) xy + m22 y^2 of M goes
+    to beta q(g^T x), its discriminant to (beta det g)^2 times itself, and
+    skew = m12 - m21 to beta det(g) skew: q = 0, the rank of q, the square
+    class of its discriminant, skew = 0 and skew^2 / disc are constant on
+    orbits, as are a nonzero t-part and a3 != 0.  Each class is one orbit.
+    The t-variables have no zero divisors, so a nonzero t-part forces
+    d3y = 0, and the stabilizer of its line has every determinant: a3 zero
+    or not, 2 orbits.  Otherwise lambda moves a3 alone.  A q of rank 0 or 1
+    is 0 or x^2 after g and beta, and its stabilizer scales skew by every
+    unit (diag(1, d) fixes x^2).  A q of rank 2 is fixed up to g by its
+    discriminant's square class (Serre, A Course in Arithmetic, IV.1.7);
+    its stabilizer has (beta det g)^2 = 1 and holds a reflection, so it
+    moves skew to exactly +-skew: one orbit per value of skew^2 / disc.  So
+    M has p + 5 orbits (zero, q = 0 with skew != 0, two of rank 1, two of
+    rank 2 with skew = 0 and p - 1 with skew != 0), each with a3 zero or
+    not: 2p + 12 in all."""
     points: list[Frame] = []
     frames = 0
     for a in [zero_vec(3), *_lines(p, 3)]:
@@ -543,7 +568,17 @@ def _frame_orbits(p: int) -> list[tuple[Frame, int]]:
         frames += p ** len(kernel) * (p - 1 if any(a) else 1)
         points.append((a, zero_vec(4)))
         points += [(a, _combine(p, c, kernel, 4)) for c in _lines(p, len(kernel))]
-    orbits = _line_orbits(p, points, (2, 3))
+
+    def key(a: Vec, v: Vec) -> tuple:
+        m11, m12, m21, m22 = v
+        b, skew = (m12 + m21) % p, (m12 - m21) % p
+        disc = (b * b - 4 * m11 * m22) % p
+        return (
+            any(a[:2]), a[2] != 0, any((m11, b, m22)), skew != 0,
+            pow(disc, (p - 1) // 2, p), skew * skew * pow(disc, p - 2, p) % p,
+        )
+
+    orbits = _invariant_classes(p, points, key)
     _gate(
         sum(n for _, n in orbits) == frames,
         "frame orbit sizes do not sum to the frame count",
@@ -555,10 +590,31 @@ def _zero_frame_d4x_orbits(p: int) -> list[tuple[Vec, int]]:
     """(first d4 value, number of values) per orbit of the same group on
     R_4, which is where d4 of both the degree-3 and the degree-5 generator
     lives on the zero frame.  The rescalings reach R_4 as every nonzero
-    scalar, so the orbits are built on zero and one point per line."""
+    scalar c, so the values are walked in lexicographic order on zero and
+    one point per line.
+
+    The key is a complete invariant.  A value is w = Q + s1s2 l, with Q a
+    quadratic and l a linear form in t1, t2; it moves to c (Q, det(g) l)
+    composed with g.  So Q = 0, the rank of Q, the square class of its
+    discriminant, l = 0 and whether Q vanishes on ker l, i.e. Q(-l2, l1) =
+    0, are constant on orbits.  Each class is one orbit.  With l = 0 this
+    is the classification of binary forms (Serre, A Course in Arithmetic,
+    IV.1.7): 4 orbits.  Otherwise g and c make l = y, and the triangular
+    g that keep it scale x freely.  If Q(1, 0) != 0, completing the square
+    gives Q = q x^2 + e y^2 with q free: rank 1 or a rank-2 class, 3
+    orbits.  If Q(1, 0) = 0, Q = y (b x + e y) is 0, y^2 or xy after a
+    shear: 3 orbits.  That is 10."""
     n = base_dim(4)
+
+    def key(w: Vec) -> tuple:
+        q11, q12, q22, l1, l2 = w
+        return (
+            any(w[:3]), pow(q12 * q12 - 4 * q11 * q22, (p - 1) // 2, p), any(w[3:]),
+            (q11 * l2 * l2 - q12 * l1 * l2 + q22 * l1 * l1) % p == 0,
+        )
+
     points = [(w,) for w in [zero_vec(n), *_lines(p, n)]]
-    orbits = [(w, size) for (w,), size in _line_orbits(p, points, (4,))]
+    orbits = [(w, size) for (w,), size in _invariant_classes(p, points, key)]
     _gate(
         sum(size for _, size in orbits) == p**n,
         "zero-frame d4 orbit sizes do not sum to p^5",
@@ -566,20 +622,19 @@ def _zero_frame_d4x_orbits(p: int) -> list[tuple[Vec, int]]:
     return orbits
 
 
-def _line_orbits(
-    p: int, points: Sequence[tuple[Vec, ...]], degrees: tuple[int, ...]
+def _invariant_classes(
+    p: int, points: Sequence[tuple[Vec, ...]], key: Callable[..., tuple]
 ) -> list[tuple[tuple[Vec, ...], int]]:
-    """(first point, number of points it stands for) per orbit of GL_2(F_p)
-    x the rescalings on tuples whose i-th entry lies in R_degrees[i].  Each
-    entry is zero or has leading coordinate 1, which the rescalings fix, so
-    only GL_2's generators act, each followed by normalization, and each
-    nonzero entry stands for its p - 1 multiples."""
-    gens = [[(_substitution(p, g, k), base_dim(k)) for k in degrees] for g in _gl2_generators(p)]
-
-    def act(g, point):
-        return tuple([_normalized(p, _combine(p, x, images, n)) for x, (images, n) in zip(point, g)])
-
-    return [(x, size * (p - 1) ** sum(map(any, x))) for x, size in _orbits(points, gens, act)]
+    """(first point, number of points it stands for) per value of
+    ``key(*point)``, in first-seen order.  Each entry of a point is zero or
+    has leading coordinate 1 and stands for its p - 1 nonzero multiples, so
+    a point stands for (p - 1) ** (number of nonzero entries) points."""
+    classes: dict[tuple, tuple[tuple[Vec, ...], int]] = {}
+    for x in points:
+        k = key(*x)
+        first, size = classes.get(k, (x, 0))
+        classes[k] = first, size + (p - 1) ** sum(map(any, x))
+    return list(classes.values())
 
 
 def _lines(p: int, k: int) -> Iterator[Vec]:
@@ -589,71 +644,6 @@ def _lines(p: int, k: int) -> Iterator[Vec]:
     for lead in range(k - 1, -1, -1):
         for tail in product(range(p), repeat=k - 1 - lead):
             yield (0,) * lead + (1,) + tail
-
-
-def _normalized(p: int, x: Vec) -> Vec:
-    """The point of x's line with leading nonzero coordinate 1; zero stays."""
-    lead = next((c for c in x if c), 1)
-    if lead == 1:
-        return x
-    inv = pow(lead, p - 2, p)
-    return tuple(c * inv % p for c in x)
-
-
-def _orbits(
-    points: Sequence[Hashable],
-    generators: Sequence,
-    act: Callable,
-) -> list[tuple[Hashable, int]]:
-    """(representative, orbit size) for each orbit of the group generated by
-    ``generators`` acting through ``act(generator, point)``.  The
-    representative is the orbit's first point in ``points``; orbits come in
-    first-seen order.  A finite group's orbit is the closure of a point
-    under its generators, so no other group element is ever applied."""
-    seen: set = set()
-    out = []
-    for x in points:
-        if x in seen:
-            continue
-        seen.add(x)
-        frontier = [x]
-        size = 1
-        while frontier:
-            y = frontier.pop()
-            for g in generators:
-                z = act(g, y)
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
-                    size += 1
-        out.append((x, size))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _substitution(p: int, g: tuple[tuple[int, int], tuple[int, int]], k: int) -> tuple[Vec, ...]:
-    """Images of the degree-k basis monomials under the ring automorphism
-    s_i -> g[0][i] s1 + g[1][i] s2, t_i -> g[0][i] t1 + g[1][i] t2."""
-    s = [(g[0][i] % p, g[1][i] % p) for i in range(2)]
-    t = [(g[0][i] % p, g[1][i] % p, 0) for i in range(2)]
-    images = []
-    for e1, e2, a, b in monomials(k):
-        acc, deg = (1,), 0
-        for factor, fdeg in [(s[0], 1)] * e1 + [(s[1], 1)] * e2 + [(t[0], 2)] * a + [(t[1], 2)] * b:
-            acc, deg = _mul_vec(p, acc, deg, factor, fdeg), deg + fdeg
-        images.append(acc)
-    return tuple(images)
-
-
-def _gl2_generators(p: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """diag(z, 1) for a primitive root z, an elementary matrix and the swap:
-    together they generate GL_2(F_p)."""
-    z = _primitive_root(p)
-    return [((z, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 0))]
-
-
-def _primitive_root(p: int) -> int:
-    return next(z for z in range(2, p) if len({pow(z, e, p) for e in range(1, p)}) == p - 1)
 
 
 def _frame_minimum(

@@ -102,11 +102,22 @@ MUTANTS = (
     Mutant(
         "line orbits weighted by their lines, not their points",
         "spectral.py",
-        "size * (p - 1) ** sum(map(any, x))",
-        "size",
+        "size + (p - 1) ** sum(map(any, x))",
+        "size + 1",
         (
+            "tests/test_spectral.py::test_invariant_classes_match_the_closure_build[3]",
             "tests/test_spectral.py::test_zero_frame_d4x_orbits_match_full_group_p3",
             "tests/test_spectral.py::test_orbit_builds_match_orbits_of_every_point[3]",
+        ),
+    ),
+    Mutant(
+        "the rank-2 frame key drops the discriminant's square class",
+        "spectral.py",
+        "pow(disc, (p - 1) // 2, p), skew * skew",
+        "0, skew * skew",
+        (
+            "tests/test_spectral.py::test_invariant_classes_match_the_closure_build[3]",
+            "tests/test_spectral.py::test_orbit_counts_at_every_supported_prime[3-267]",
         ),
     ),
     Mutant(
@@ -179,6 +190,13 @@ MUTANTS = (
         "inputs = json.loads(_json_text(inputs))",
         "pass",
         ("tests/test_pipeline.py::test_a_trace_read_from_its_json_equals_the_live_trace",),
+    ),
+    Mutant(
+        "the prime cap lets one value too many through",
+        "gfp.py",
+        "if p > PRIME_CAP:",
+        "if p > PRIME_CAP + 1:",
+        ("tests/test_cli.py::test_size_inputs_run_at_their_largest_value_and_reject_the_next",),
     ),
     Mutant(
         "a zpxzp quotient index need not be prime",

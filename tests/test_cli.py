@@ -516,6 +516,16 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
         ),
         ("fixedpoint obstruct --group zpxzp:4 --lef 4,8", "bad --group (want cd:D or zpxzp:P): 4 is not prime"),
         ("fixedpoint obstruct --group zpxzp:1 --lef 1", "bad --group (want cd:D or zpxzp:P): 1 is not prime"),
+        # trial division to the square root of a value this size would not end
+        (
+            "fixedpoint obstruct --group zpxzp:2305843009213693951 --lef 3",
+            "bad --group (want cd:D or zpxzp:P): 2305843009213693951 is above the largest supported prime 2147483647",
+        ),
+        pytest.param(
+            f"fixedpoint obstruct --group zpxzp:{10**400 + 1} --lef 3",
+            f"bad --group (want cd:D or zpxzp:P): {10**400 + 1} is above the largest supported prime 2147483647",
+            id="fixedpoint obstruct --group zpxzp:10**400+1",
+        ),
         ("fixedpoint obstruct --group cd:3 --lef 1,a", "--lef wants a comma-separated integer list"),
         ("fixedpoint obstruct --group cd:3 --lef ,", "--lef wants at least one integer"),
         ("fixedpoint obstruct --group cd:3 --lef ''", "--lef wants at least one integer"),
@@ -566,13 +576,18 @@ def test_emit_writes_one_document_in_one_call(monkeypatch):
             "group analyze --in {tmp}/513.grp",
             "cannot read group table: order 513 outside supported range 1..512",
         ),
+        (
+            "fixedpoint obstruct --group zpxzp:2147483647 --lef 3", 1,
+            "fixedpoint obstruct --group zpxzp:2147483648 --lef 3",
+            "bad --group (want cd:D or zpxzp:P): 2147483648 is above the largest supported prime 2147483647",
+        ),
         # --dim has no cap: an odd dimension past the vocabulary finds nothing
         (
             "fixedpoint profiles --dim 1000001", 1,
             "fixedpoint profiles --dim 1000000", "component dimension must be odd",
         ),
     ],
-    ids=["bound", "budget", "p", "name", "product", "burnside", "table-order", "dim"],
+    ids=["bound", "budget", "p", "name", "product", "burnside", "table-order", "prime", "dim"],
 )
 def test_size_inputs_run_at_their_largest_value_and_reject_the_next(
     largest, limit_s, next_value, line, tmp_path, capsys

@@ -70,7 +70,11 @@ def test_prime_checks_reject_exactly_the_non_primes():
 def test_each_shared_error_is_raised_by_one_function():
     # the prime guard and the order cap are one rule each: a second function
     # raising the same words is a copy that can drift from the first
-    raisers = {"is not prime": set(), "outside supported range": set()}
+    raisers = {
+        "is not prime": set(),
+        "above the largest supported prime": set(),
+        "outside supported range": set(),
+    }
     for path in sorted((SRC / "pcurv13").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}
@@ -89,6 +93,7 @@ def test_each_shared_error_is_raised_by_one_function():
                         where.add(f"{path.stem}.{owner.get(node, '<module>')}")
     assert raisers == {
         "is not prime": {"gfp._require_prime"},
+        "above the largest supported prime": {"gfp._require_prime"},
         "outside supported range": {"groups._require_order"},
     }
 

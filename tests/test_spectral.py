@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -403,21 +404,136 @@ def test_frame_minimum_matches_every_class_loop(p):
     assert len(frames) == {3: 267, 5: 22}[p]
 
 
+# --- the closure build: the oracle of the invariant classes ----------------------
+
+
+def closure_orbits(points, generators, act):
+    """(representative, orbit size) for each orbit of the group generated by
+    ``generators`` acting through ``act(generator, point)``.  The
+    representative is the orbit's first point in ``points``; orbits come in
+    first-seen order.  A finite group's orbit is the closure of a point
+    under its generators, so no other group element is ever applied."""
+    seen = set()
+    out = []
+    for x in points:
+        if x in seen:
+            continue
+        seen.add(x)
+        frontier = [x]
+        size = 1
+        while frontier:
+            y = frontier.pop()
+            for g in generators:
+                z = act(g, y)
+                if z not in seen:
+                    seen.add(z)
+                    frontier.append(z)
+                    size += 1
+        out.append((x, size))
+    return out
+
+
+@lru_cache(maxsize=None)
+def substitution(p, g, k):
+    """Images of the degree-k basis monomials under the ring automorphism
+    s_i -> g[0][i] s1 + g[1][i] s2, t_i -> g[0][i] t1 + g[1][i] t2."""
+    s = [(g[0][i] % p, g[1][i] % p) for i in range(2)]
+    t = [(g[0][i] % p, g[1][i] % p, 0) for i in range(2)]
+    images = []
+    for e1, e2, a, b in ss.monomials(k):
+        acc, deg = (1,), 0
+        for factor, fdeg in [(s[0], 1)] * e1 + [(s[1], 1)] * e2 + [(t[0], 2)] * a + [(t[1], 2)] * b:
+            acc, deg = ss._mul_vec(p, acc, deg, factor, fdeg), deg + fdeg
+        images.append(acc)
+    return tuple(images)
+
+
+def gl2_generators(p):
+    """diag(z, 1) for a primitive root z, an elementary matrix and the swap:
+    together they generate GL_2(F_p)."""
+    z = primitive_root(p)
+    return [((z, 0), (0, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 0))]
+
+
+def primitive_root(p):
+    return next(z for z in range(2, p) if len({pow(z, e, p) for e in range(1, p)}) == p - 1)
+
+
+def normalized(p, x):
+    """The point of x's line with leading nonzero coordinate 1; zero stays."""
+    lead = next((c for c in x if c), 1)
+    if lead == 1:
+        return x
+    inv = pow(lead, p - 2, p)
+    return tuple(c * inv % p for c in x)
+
+
+def line_orbits(p, points, degrees):
+    """(first point, number of points it stands for) per orbit of GL_2(F_p)
+    x the rescalings on tuples whose i-th entry lies in R_degrees[i].  Each
+    entry is zero or has leading coordinate 1, which the rescalings fix, so
+    only GL_2's generators act, each followed by normalization, and each
+    nonzero entry stands for its p - 1 multiples."""
+    gens = [[(substitution(p, g, k), ss.base_dim(k)) for k in degrees] for g in gl2_generators(p)]
+
+    def act(g, point):
+        return tuple([normalized(p, gfp._combine(p, x, images, n)) for x, (images, n) in zip(point, g)])
+
+    return [(x, size * (p - 1) ** sum(map(any, x))) for x, size in closure_orbits(points, gens, act)]
+
+
+def closure_frame_orbits(p):
+    """line_orbits over the points _frame_orbits walks: zero and one point
+    per line of d2, each with zero and one d3y per line of its kernel."""
+    points = []
+    for a in [(0, 0, 0), *ss._lines(p, 3)]:
+        kernel = ss._restrict(p, ss._std_basis(3), 3, a, 2)
+        points.append((a, (0, 0, 0, 0)))
+        points += [(a, gfp._combine(p, c, kernel, 4)) for c in ss._lines(p, len(kernel))]
+    return line_orbits(p, points, (2, 3))
+
+
+def closure_d4x_orbits(p):
+    """line_orbits over zero and one point per line of R_4."""
+    points = [(w,) for w in [(0,) * 5, *ss._lines(p, 5)]]
+    return [(w, size) for (w,), size in line_orbits(p, points, (4,))]
+
+
+@pytest.mark.parametrize("p", ss.SUPPORTED_PRIMES)
+def test_invariant_classes_match_the_closure_build(p):
+    """Both orbit builds against the closure of the same points under GL_2's
+    generators: same representatives, same sizes, same order."""
+    assert ss._frame_orbits(p) == closure_frame_orbits(p)
+    assert ss._zero_frame_d4x_orbits(p) == closure_d4x_orbits(p)
+
+
+@pytest.mark.parametrize(
+    "p, frames", [(3, 267), (5, 3245), (7, 17143), (11, 162371), (13, 373477)]
+)
+def test_orbit_counts_at_every_supported_prime(p, frames):
+    """2p + 12 frame orbits covering every frame, and 10 zero-frame d4
+    orbits covering p^5 values, without running a sweep."""
+    frame_orbits = ss._frame_orbits(p)
+    assert (len(frame_orbits), sum(n for _, n in frame_orbits)) == (2 * p + 12, frames)
+    d4x_orbits = ss._zero_frame_d4x_orbits(p)
+    assert (len(d4x_orbits), sum(n for _, n in d4x_orbits)) == (10, p**5)
+
+
 def full_frame_generators(p):
     """GL_2(F_p) and both rescalings on (R_2, R_3), scalars included."""
-    z = ss._primitive_root(p)
+    z = primitive_root(p)
 
     def scaling(k):
         return tuple(tuple(z * x % p for x in e) for e in ss._std_basis(k))
 
-    subs = [(ss._substitution(p, g, 2), ss._substitution(p, g, 3)) for g in ss._gl2_generators(p)]
+    subs = [(substitution(p, g, 2), substitution(p, g, 3)) for g in gl2_generators(p)]
     return subs + [(scaling(2), ss._std_basis(3)), (ss._std_basis(2), scaling(3))]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_orbit_builds_match_orbits_of_every_point(p):
-    """The sweep's orbit builds against _orbits over every frame and every
-    zero-frame d4 value, under generators that include the scalars:
+    """The sweep's orbit builds against closure_orbits over every frame and
+    every zero-frame d4 value, under generators that include the scalars:
     same representatives, same sizes, same order."""
     gens = full_frame_generators(p)
 
@@ -425,15 +541,15 @@ def test_orbit_builds_match_orbits_of_every_point(p):
         return apply_linear(p, g[0], frame[0]), apply_linear(p, g[1], frame[1])
 
     frames = unreduced_frames(p)
-    assert ss._frame_orbits(p) == ss._orbits(frames, gens, act_frame)
+    assert ss._frame_orbits(p) == closure_orbits(frames, gens, act_frame)
 
     def act_d4(g, w):
         return apply_linear(p, g, w)
 
-    d4_gens = [ss._substitution(p, g, 4) for g in ss._gl2_generators(p)]
-    d4_gens.append(tuple(tuple(x * ss._primitive_root(p) % p for x in e) for e in ss._std_basis(4)))
+    d4_gens = [substitution(p, g, 4) for g in gl2_generators(p)]
+    d4_gens.append(tuple(tuple(x * primitive_root(p) % p for x in e) for e in ss._std_basis(4)))
     values = list(product(range(p), repeat=5))
-    assert ss._zero_frame_d4x_orbits(p) == ss._orbits(values, d4_gens, act_d4)
+    assert ss._zero_frame_d4x_orbits(p) == closure_orbits(values, d4_gens, act_d4)
 
 
 def gl2(p):
@@ -475,16 +591,16 @@ def test_substitution_is_a_ring_automorphism(p):
     s1s2 = ss._mono_index(2)[(1, 1, 0, 0)]
     for g in random.Random(p).sample(gl2(p), 5):
         det = (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % p
-        assert ss._substitution(p, g, 2)[s1s2] == tuple(det if i == s1s2 else 0 for i in range(3))
+        assert substitution(p, g, 2)[s1s2] == tuple(det if i == s1s2 else 0 for i in range(3))
         for k1 in range(4):
             for k2 in range(4):
                 for x in ss._std_basis(k1):
                     for y in ss._std_basis(k2):
-                        lhs = apply_linear(p, ss._substitution(p, g, k1 + k2), ss._mul_vec(p, x, k1, y, k2))
+                        lhs = apply_linear(p, substitution(p, g, k1 + k2), ss._mul_vec(p, x, k1, y, k2))
                         rhs = ss._mul_vec(
                             p,
-                            apply_linear(p, ss._substitution(p, g, k1), x), k1,
-                            apply_linear(p, ss._substitution(p, g, k2), y), k2,
+                            apply_linear(p, substitution(p, g, k1), x), k1,
+                            apply_linear(p, substitution(p, g, k2), y), k2,
                         )
                         assert lhs == rhs
 
@@ -498,7 +614,7 @@ def test_gl2_generators_generate_gl2(p, order):
         )
 
     identity = ((1, 0), (0, 1))
-    closure = ss._orbits([identity], ss._gl2_generators(p), mul)
+    closure = closure_orbits([identity], gl2_generators(p), mul)
     assert closure == [(identity, order)]
 
 
@@ -509,8 +625,8 @@ def test_orbits_match_full_group_and_keep_frame_count_and_min_p3(unreduced_p3):
     def image_of(el, frame):
         g, lam, mu = el
         a, v = frame
-        a2 = apply_linear(p, ss._substitution(p, g, 2), a)
-        v2 = apply_linear(p, ss._substitution(p, g, 3), v)
+        a2 = apply_linear(p, substitution(p, g, 2), a)
+        v2 = apply_linear(p, substitution(p, g, 3), v)
         return tuple(lam * x % p for x in a2), tuple(mu * x % p for x in v2)
 
     orbits = ss._frame_orbits(p)
@@ -530,7 +646,7 @@ def test_zero_frame_d4x_orbits_match_full_group_p3():
 
     def image_of(el, w):
         g, lam, mu = el
-        return tuple(lam * mu * x % p for x in apply_linear(p, ss._substitution(p, g, 4), w))
+        return tuple(lam * mu * x % p for x in apply_linear(p, substitution(p, g, 4), w))
 
     orbits = ss._zero_frame_d4x_orbits(p)
     assert orbits == full_group_orbits(p, values, image_of)
@@ -703,8 +819,8 @@ sys.exit(1)
 
 def test_proof_gate_survives_optimize_flag():
     body = """
-    orbits = ss._orbits
-    ss._orbits = lambda *args: orbits(*args)[:-1]  # lose the last orbit
+    walk = ss._invariant_classes
+    ss._invariant_classes = lambda *args: walk(*args)[:-1]  # lose the last orbit
     ss.exhaustive_verdict(3)
 """
     assert "frame orbit sizes do not sum" in run_optimized(body)
