@@ -3,7 +3,7 @@
 Covers the alternating-sum bookkeeping used throughout the case analysis:
 Euler characteristics, the Smith-Gysin long exact sequence solved over the
 intervals exactness leaves each quotient rank, integer trace sets of
-finite-order automorphisms in small dimension, the quotient-index
+finite-order automorphisms from their cyclotomic factors, the quotient-index
 divisibility obstruction, Borel codimension feasibility, the census of
 five-dimensional fixed-point profiles, and the totally-geodesic
 intersection constraint.
@@ -90,46 +90,52 @@ def smith_gysin_solve(
 # ---------------------------------------------------------------------------
 # integer traces of finite-order automorphisms
 
+MAX_TRACE_DIM = 32  # the knapsack below walks n up to 2 * MAX_TRACE_DIM**2
+
 
 def integer_trace_set(k: int, odd_order_only: bool) -> frozenset[int]:
-    """Integer traces of finite-order automorphisms of a rational k-space.
+    """Integer traces of finite-order automorphisms of Z^k, of odd order
+    if ``odd_order_only``; rejects k outside 0..MAX_TRACE_DIM.
 
-    For k = 2 the trace is a sum of two roots of unity; rationality forces
-    both equal to +-1 or a conjugate pair 2cos(2 pi a/n) with n in
-    {1,2,3,4,6}.  Restricting to odd order keeps n in {1,3}, i.e. traces
-    {2, -1}.
+    The characteristic polynomial of such an automorphism is a product of
+    cyclotomic polynomials Phi_n whose degrees phi(n) sum to k, and every
+    such product occurs (a block sum of companion matrices).  The trace is
+    the sum over the factors of the Moebius value mu(n), the sum of the
+    primitive n-th roots of unity (Washington, Introduction to Cyclotomic
+    Fields, GTM 83, ch. 2); odd order keeps odd n.  As phi(n) >= sqrt(n/2), only n <= 2k^2 occur:
+    the traces are a knapsack with repeated factors over those n.
     """
-    if k not in (0, 1, 2):
-        raise ValueError("trace sets computed only for dimensions 0, 1, 2")
-    if k == 0:
-        return frozenset({0})
-    if k == 1:
-        return frozenset({1}) if odd_order_only else frozenset({-1, 1})
-    if odd_order_only:
-        return frozenset({-1, 2})
-    return frozenset({-2, -1, 0, 1, 2})
+    if not 0 <= k <= MAX_TRACE_DIM:
+        raise ValueError(f"trace dimension must be between 0 and {MAX_TRACE_DIM}")
+    phi, mu = list(range(2 * k * k + 1)), [1] * (2 * k * k + 1)
+    for q in range(2, len(phi)):
+        if phi[q] == q:  # q is prime: no smaller prime has touched it
+            for m in range(q, len(phi), q):
+                phi[m] -= phi[m] // q
+                mu[m] = 0 if m % (q * q) == 0 else -mu[m]
+    reach: list[set[int]] = [{0}] + [set() for _ in range(k)]
+    for n in range(1, len(phi), 2 if odd_order_only else 1):
+        for d in range(phi[n], k + 1):
+            reach[d] |= {t + mu[n] for t in reach[d - phi[n]]}
+    return frozenset(reach[k])
 
 
 def lefschetz_value_set(dims: Sequence[int], odd_order: bool = True) -> frozenset[int]:
     """All alternating trace sums on (relative) cohomology of the given
-    per-degree dimensions, for elements of odd order if ``odd_order``.
-
-    Rejects any degree of dimension > 2: the eigenvalue analysis is only
-    carried out there, larger blocks are out of scope by design.
-    """
-    if any(d > 2 for d in dims):
-        raise ValueError("per-degree dimensions above 2 are not supported")
-    if any(d < 0 for d in dims):
-        raise ValueError("dimensions are nonnegative")
-    per_degree = [
-        [(-1) ** i * t for t in sorted(integer_trace_set(d, odd_order))]
-        for i, d in enumerate(dims)
-    ]
-    return frozenset(sum(combo) for combo in product(*per_degree))
+    per-degree dimensions, for elements of odd order if ``odd_order``;
+    degree i contributes (-1)^i times a trace from ``integer_trace_set``,
+    which caps each dimension."""
+    values = {0}
+    for i, d in enumerate(dims):
+        traces = integer_trace_set(d, odd_order)
+        values = {v + (-1) ** i * t for v in values for t in traces}
+    return frozenset(values)
 
 
 # ---------------------------------------------------------------------------
 # divisibility obstruction
+
+MAX_INDEX_DIGITS = 1000  # longer --group values are refused before int()
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,8 @@ class QuotientIndex:
     @classmethod
     def parse(cls, text: str) -> "QuotientIndex":
         kind, _, val = text.partition(":")
+        if len(val.strip()) > MAX_INDEX_DIGITS:
+            raise ValueError(f"index has more than {MAX_INDEX_DIGITS} digits")
         return cls(kind.strip().lower(), int(val))
 
 

@@ -642,6 +642,11 @@ def lemma56_branch(
     return bounds, tr.steps
 
 
+def _mod3_applies(profile: tuple[str, ...]) -> bool:
+    """Whether the profile is two or three rational 5-spheres."""
+    return not profile.count("CP1xS3") and profile.count("S5") in (2, 3)
+
+
 def mod3_branch(
     profile: tuple[str, ...],
 ) -> tuple[frozenset[int], list[TraceStep]]:
@@ -649,7 +654,7 @@ def mod3_branch(
     the fixed set, a census profile, is two or three rational 5-spheres."""
     _check_census(profile)
     k = profile.count("S5")
-    if profile.count("CP1xS3") or k not in (2, 3):
+    if not _mod3_applies(profile):
         raise ValueError(
             "the mod-3 refinement applies to two or three sphere components"
         )
@@ -789,12 +794,7 @@ def theorem_a_report(scenario: ScenarioInput) -> ObstructionReport:
         )
         for comps in profiles:
             profile = tuple(comps)
-            use_mod3 = (
-                scenario.cohomology_type == MOD3
-                and profile.count("CP1xS3") == 0
-                and profile.count("S5") >= 2
-            )
-            if use_mod3:
+            if scenario.cohomology_type == MOD3 and _mod3_applies(profile):
                 sub_bounds, steps = mod3_branch(profile)
             else:
                 sub_bounds, steps = lemma56_branch(profile)

@@ -281,6 +281,23 @@ MUTANTS = (
         ("tests/test_groups.py::test_normal_rank",),
     ),
     Mutant(
+        "the normal-rank search grows from the identity",
+        "groups.py",
+        "level = {frozenset(np.flatnonzero(G.central & (p % G.element_order == 0)).tolist())}",
+        "level = {frozenset([0])}",
+        ("tests/test_groups.py::test_normal_rank_builds_two_subgroups_on_d8xz2_6",),
+    ),
+    Mutant(
+        "an even n enters the odd-order trace set",
+        "cohomology.py",
+        "2 if odd_order_only else 1",
+        "1",
+        (
+            "tests/test_cohomology.py::test_trace_sets_exact",
+            "tests/test_cohomology.py::test_trace_sets_match_every_small_integer_matrix[3]",
+        ),
+    ),
+    Mutant(
         "the Smith-Gysin interval one short at its upper end",
         "cohomology.py",
         "range(rank_in, rank_in + x[i] + 1)",

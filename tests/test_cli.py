@@ -526,6 +526,17 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
             f"bad --group (want cd:D or zpxzp:P): {10**400 + 1} is above the largest supported prime 2147483647",
             id="fixedpoint obstruct --group zpxzp:10**400+1",
         ),
+        # int() itself refuses more than 4300 digits with advice for Python code
+        pytest.param(
+            f"fixedpoint obstruct --group cd:{'9' * 5000} --lef 3",
+            "bad --group (want cd:D or zpxzp:P): index has more than 1000 digits",
+            id="fixedpoint obstruct --group cd:<5000 nines>",
+        ),
+        pytest.param(
+            f"fixedpoint obstruct --group zpxzp:{'9' * 1001} --lef 3",
+            "bad --group (want cd:D or zpxzp:P): index has more than 1000 digits",
+            id="fixedpoint obstruct --group zpxzp:<1001 nines>",
+        ),
         ("fixedpoint obstruct --group cd:3 --lef 1,a", "--lef wants a comma-separated integer list"),
         ("fixedpoint obstruct --group cd:3 --lef ,", "--lef wants at least one integer"),
         ("fixedpoint obstruct --group cd:3 --lef ''", "--lef wants at least one integer"),

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,8 +156,31 @@ def test_trace_sets_exact():
     assert ch.integer_trace_set(2, False) == {-2, -1, 0, 1, 2}
     assert ch.integer_trace_set(1, False) == {-1, 1}
     assert ch.integer_trace_set(0, True) == {0}
-    with pytest.raises(ValueError):
-        ch.integer_trace_set(3, True)
+    assert ch.integer_trace_set(0, False) == {0}
+    assert ch.integer_trace_set(3, True) == {0, 3}
+    assert ch.integer_trace_set(3, False) == set(range(-3, 4))
+    assert ch.integer_trace_set(4, True) == {-2, -1, 1, 4}
+
+
+def test_trace_sets_run_at_the_cap_and_reject_beyond_it():
+    cap = ch.MAX_TRACE_DIM
+    assert ch.integer_trace_set(cap, False) == set(range(-cap, cap + 1))
+    assert cap in ch.integer_trace_set(cap, True)  # the identity
+    for k, odd in itertools.product((cap + 1, -1), (True, False)):
+        with pytest.raises(ValueError, match=f"between 0 and {cap}"):
+            ch.integer_trace_set(k, odd)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_trace_sets_match_every_small_integer_matrix(k):
+    """Every k x k matrix with entries in {-1, 0, 1}: a finite-order one in
+    dimension at most 3 has order 1, 2, 3, 4 or 6, so A^12 = I, and odd
+    order 1 or 3, so A^3 = I."""
+    A = np.array(list(itertools.product((-1, 0, 1), repeat=k * k))).reshape(-1, k, k)
+    traces = np.trace(A, axis1=1, axis2=2)
+    for power, odd in ((12, False), (3, True)):
+        finite = (np.linalg.matrix_power(A, power) == np.eye(k, dtype=int)).all(axis=(1, 2))
+        assert set(traces[finite].tolist()) == ch.integer_trace_set(k, odd)
 
 
 def test_trace_set_matches_cosine_sweep():
@@ -184,8 +208,12 @@ def test_lefschetz_value_sets():
     assert ch.lefschetz_value_set((1, 0, 1, 0, 1)) == {3}
     assert ch.lefschetz_value_set(()) == {0}
     assert ch.lefschetz_value_set((0, 0, 0)) == {0}
-    with pytest.raises(ValueError):
-        ch.lefschetz_value_set((1, 0, 3))
+    # the Smith-Gysin quotient of the census vector (1, 0, 2, 2, 0, 1)
+    assert ch.lefschetz_value_set((1, 0, 3, 0, 1)) == {2, 5}
+    for dims in [(1, 0, ch.MAX_TRACE_DIM + 1), (1, -1)]:
+        with pytest.raises(ValueError, match=f"between 0 and {ch.MAX_TRACE_DIM}"):
+            ch.lefschetz_value_set(dims)
+    assert len(ch.lefschetz_value_set((ch.MAX_TRACE_DIM,) * 2, odd_order=False)) == 4 * ch.MAX_TRACE_DIM + 1
 
 
 def test_lefschetz_signs_alternate():
@@ -214,6 +242,10 @@ def test_quotient_index_parsing():
     assert qi.kind == "cd" and qi.value == 3
     with pytest.raises(ValueError):
         ch.QuotientIndex.parse("weird:3")
+    digits = "9" * ch.MAX_INDEX_DIGITS
+    assert ch.QuotientIndex.parse(f"cd: {digits} ").value == int(digits)
+    with pytest.raises(ValueError, match=f"more than {ch.MAX_INDEX_DIGITS} digits"):
+        ch.QuotientIndex.parse(f"cd:{digits}9")
 
 
 # --- Borel feasibility -----------------------------------------------------

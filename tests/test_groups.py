@@ -770,6 +770,24 @@ def test_group_analyze_finds_the_normal_rank_of_order_512_in_time(k, build, rank
     assert (data["order"], data["normal_rank"]) == (512, rank)
 
 
+def test_normal_rank_builds_two_subgroups_on_d8xz2_6(monkeypatch):
+    """One cyclic_span call per subgroup the search builds.  Above E0 = Z2^7
+    it builds two; grown from the identity it builds about a million, so the
+    count stops the search at a small bound instead of a clock."""
+    G = gr.GroupTable(d8_times_z2(6))
+    calls = []
+    cyclic_span = gr.GroupTable.cyclic_span
+
+    def counted(self, g):
+        calls.append(g)
+        assert len(calls) <= 20, "normal_rank built more than 20 subgroups"
+        return cyclic_span(self, g)
+
+    monkeypatch.setattr(gr.GroupTable, "cyclic_span", counted)
+    assert gr.normal_rank(G, 2) == 8
+    assert len(calls) == 2
+
+
 def normal_by_every_element(G, elems):
     """g h g^-1 in H for every g in G and h in H."""
     arr = np.array(elems)

@@ -68,12 +68,15 @@ def test_prime_checks_reject_exactly_the_non_primes():
 
 
 def test_each_shared_error_is_raised_by_one_function():
-    # the prime guard and the order cap are one rule each: a second function
-    # raising the same words is a copy that can drift from the first
+    # the prime guard, the order cap, the index digit cap and the trace
+    # dimension cap are one rule each: a second function raising the same
+    # words is a copy that can drift from the first
     raisers = {
         "is not prime": set(),
         "above the largest supported prime": set(),
         "outside supported range": set(),
+        "index has more than": set(),
+        "trace dimension must be between": set(),
     }
     for path in sorted((SRC / "pcurv13").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -95,6 +98,8 @@ def test_each_shared_error_is_raised_by_one_function():
         "is not prime": {"gfp._require_prime"},
         "above the largest supported prime": {"gfp._require_prime"},
         "outside supported range": {"groups._require_order"},
+        "index has more than": {"cohomology.parse"},
+        "trace dimension must be between": {"cohomology.integer_trace_set"},
     }
 
 
