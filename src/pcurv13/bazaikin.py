@@ -31,7 +31,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .gates import _gate
-from .gfp import _require_prime
+from .gfp import _require_digits, _require_prime
 
 IndexPair = tuple[int, int]
 
@@ -65,9 +65,10 @@ def canonicalize(q: Sequence[int]) -> tuple[int, ...]:
 
     Entries sorted non-increasing, with the global sign chosen so the
     majority of entries is positive (ties broken by taking the
-    lexicographically larger candidate).
+    lexicographically larger candidate).  A weight of more than MAX_DIGITS
+    digits is refused, so e3 has at most 3002 digits, few enough to print.
     """
-    entries = tuple(int(e) for e in q)
+    entries = tuple(_require_digits(int(e), "weight") for e in q)
     if len(entries) != 5:
         raise ValueError("a weight tuple has exactly five entries")
     plus = tuple(sorted(entries, reverse=True))

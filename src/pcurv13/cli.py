@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import bazaikin, cohomology, gates, groups, pipeline, spectral
+from .gfp import _require_digits
 
 
 def _emit(data) -> None:
@@ -194,8 +195,9 @@ def cmd_fixedpoint_obstruct(args) -> int:
         group = cohomology.QuotientIndex.parse(args.group)
     except ValueError as exc:
         raise ValueError(f"bad --group (want cd:D or zpxzp:P): {exc}")
+    words = [_require_digits(x, "--lef value") for x in args.lef.split(",") if x.strip()]
     try:
-        lef = [int(x) for x in args.lef.split(",") if x.strip()]
+        lef = [int(x) for x in words]
     except ValueError:
         raise ValueError("--lef wants a comma-separated integer list")
     if not lef:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .gfp import _require_prime
+from .gfp import _require_digits, _require_prime
 
 
 def _betti(b: Sequence[int]) -> tuple[int, ...]:
@@ -135,9 +135,6 @@ def lefschetz_value_set(dims: Sequence[int], odd_order: bool = True) -> frozense
 # ---------------------------------------------------------------------------
 # divisibility obstruction
 
-MAX_INDEX_DIGITS = 1000  # longer --group values are refused before int()
-
-
 @dataclass(frozen=True)
 class QuotientIndex:
     """Index of the maximal normal cyclic subgroup: d for a metacyclic
@@ -158,9 +155,7 @@ class QuotientIndex:
     @classmethod
     def parse(cls, text: str) -> "QuotientIndex":
         kind, _, val = text.partition(":")
-        if len(val.strip()) > MAX_INDEX_DIGITS:
-            raise ValueError(f"index has more than {MAX_INDEX_DIGITS} digits")
-        return cls(kind.strip().lower(), int(val))
+        return cls(kind.strip().lower(), int(_require_digits(val, "index")))
 
 
 def divisibility_obstruction(

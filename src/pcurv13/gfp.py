@@ -5,7 +5,8 @@ row vectors.  Dimensions in this package are tiny (at most 8), so the
 implementation favours clarity and hashability over speed; hot loops cache
 reduced bases.  One elimination loop, _eliminate, serves both rref and
 Subspace.reduce.  is_prime is the one primality test of the package and
-_require_prime its one guard; _combine, the one linear combination of
+_require_prime its one guard, as _require_digits is the one digit cap of
+an integer read from text; _combine, the one linear combination of
 basis vectors, serves preimage_subspace and the spectral sweep.
 """
 
@@ -31,6 +32,19 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is above the largest supported prime {PRIME_CAP}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+MAX_DIGITS = 1000  # the most digits of an integer read from text, or of a weight
+_DIGITS_BOUND = 10**MAX_DIGITS
+
+
+def _require_digits(value, what: str):
+    """value, an int or the text of one, unless it has more than MAX_DIGITS
+    digits.  Text is measured before int() reads it, which refuses more
+    than 4300 digits with advice meant for Python code, not for the user."""
+    if len(value.strip().lstrip("+-")) > MAX_DIGITS if isinstance(value, str) else abs(value) >= _DIGITS_BOUND:
+        raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
+    return value
 
 
 def zero_vec(n: int) -> Vec:

@@ -20,8 +20,9 @@ group analyze builds none, and one _p_part gives every p-part.
 
 Named groups come from build_standard alone, Burnside groups from
 build_burnside, which returns the table still referenced for the same
-triple, so normal_cyclic_core shares its caller's group.  Metacyclic
-tables are built in one broadcast over (i, j, i', j').
+triple.  Metacyclic tables are built in one broadcast over (i, j, i', j'),
+(i, j) at index i*n + j, so normal_cyclic_core reads <A, B^d> off that
+table as the indices k with d | k mod n, on its caller's group.
 
 The table itself is a read-only numpy array; queries that walk subgroups
 use plain Python sets over indices.  A subgroup closure grows a frontier by
@@ -52,7 +53,7 @@ from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
-from .gfp import _require_prime
+from .gfp import _require_digits, _require_prime
 
 ORDER_CAP = 512
 
@@ -121,9 +122,6 @@ class GroupTable:
         self.table = arr
         self.name = name
         self._central: Optional[np.ndarray] = None
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
 
     def cyclic_span(self, g: int) -> frozenset[int]:
         column = self.table[:, g].tolist()
@@ -245,7 +243,8 @@ def _generating_set(table: np.ndarray) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class SubgroupHandle:
     """A subgroup of a parent group as a sorted index set, which its builder
-    guarantees: a closure by construction, the others by their own check."""
+    guarantees: a closure by construction, the Burnside core by the
+    presentation, the others by their own check."""
 
     parent: GroupTable
     elements: tuple[int, ...]
@@ -379,56 +378,45 @@ def build_burnside(params: BurnsideParams) -> GroupTable:
     G = _BURNSIDE_TABLES.get(params)
     if G is None:
         G = _BURNSIDE_TABLES[params] = GroupTable(
-            _burnside_table(params), name=f"B({params.m},{params.n},{params.r})"
+            _metacyclic_table(*_valid_triple(params)), name=f"B({params.m},{params.n},{params.r})"
         )
     return G
 
 
-def _burnside_table(params: BurnsideParams) -> np.ndarray:
+def _valid_triple(params: BurnsideParams) -> tuple[int, int, int]:
+    """(m, n, r) of valid parameters; invalid ones raise, here alone."""
     bad = params.failing_conditions()
     if bad:
-        raise GroupError(
-            f"invalid Burnside parameters {params}: " + "; ".join(bad)
-        )
-    return _metacyclic_table(params.m, params.n, params.r)
-
-
-def burnside_generators(params: BurnsideParams) -> tuple[int, int]:
-    """Indices of A = (1,0) and B = (0,1) in the build_burnside table."""
-    a = params.n if params.m > 1 else 0
-    b = 1 if params.n > 1 else 0
-    return a, b
+        raise GroupError(f"invalid Burnside parameters {params}: " + "; ".join(bad))
+    return params.m, params.n, params.r
 
 
 def burnside_class_d(params: BurnsideParams) -> int:
     """Multiplicative order of r mod m; divides n."""
-    if not _burnside_valid(params.m, params.n, params.r):
-        raise GroupError(f"invalid Burnside parameters {params}")
-    if params.m == 1:
-        return 1
-    d = 1
-    x = params.r % params.m
-    while x != 1:
-        x = (x * params.r) % params.m
+    m, _, r = _valid_triple(params)
+    d, x = 1, r % m
+    while x != 1 % m:
+        x = x * r % m
         d += 1
     return d
 
 
 def normal_cyclic_core(params: BurnsideParams) -> SubgroupHandle:
-    """The subgroup generated by A and B^d, d the class of the parameters.
+    """The subgroup <A, B^d>, d the class of the parameters, read off the
+    presentation.
 
-    It is normal, cyclic of index d, and contained in no larger cyclic
-    subgroup; the properties are re-verified per instance in the tests.
-    Its parent is the table build_burnside(params) returns, the caller's own
-    while the caller holds it.
+    In the build_burnside table the pair (i, j) has index i*n + j, and
+    B^j A B^-j = A^(r^j), so (i, j) commutes with A exactly when d divides
+    j.  The pairs with d | j are therefore the centralizer of A, and they
+    are <A, B^d>: Z_m x Z_{n/d}, which is cyclic since gcd(m, n) = 1.  They
+    are the kernel of (i, j) -> j mod d, so the core is normal of index d;
+    a cyclic subgroup containing it commutes with A, so none is larger.
+    Its parent is the table build_burnside(params) returns, the caller's
+    own while the caller holds it.
     """
     G = build_burnside(params)
-    d = burnside_class_d(params)
-    a, b = burnside_generators(params)
-    bd = 0
-    for _ in range(d):
-        bd = G.mul(bd, b)
-    return closure(G, (a, bd))
+    n, d = params.n, burnside_class_d(params)
+    return SubgroupHandle(G, tuple(k for k in range(G.order) if k % n % d == 0))
 
 
 def enumerate_burnside_params(max_order: int) -> list[BurnsideParams]:
@@ -771,15 +759,14 @@ def _term_table(term: str) -> np.ndarray:
     if not m:
         raise GroupError(f"unknown group name {term!r}")
     if m.group("cyc"):
-        return _metacyclic_table(int(m.group("cyc")), 1, 1)
+        return _metacyclic_table(int(_require_digits(m.group("cyc"), "group order")), 1, 1)
     if m.group("semi"):
         return _metacyclic_table(*_Z9_SEMI_Z3)
     if m.group("s3"):
         return _metacyclic_table(*_S3)
     if m.group("bm"):
-        return _burnside_table(
-            BurnsideParams(int(m.group("bm")), int(m.group("bn")), int(m.group("br")))
-        )
+        mnr = (int(_require_digits(m.group(k), "Burnside parameter")) for k in ("bm", "bn", "br"))
+        return _metacyclic_table(*_valid_triple(BurnsideParams(*mnr)))
     return _unitriangular27_table()
 
 
@@ -794,10 +781,10 @@ def read_group_file(path) -> GroupTable:
     """Table written by write_group_file: an 'order n' line, then n rows of
     n entries.  The order is checked against the cap before any row is read."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = next((ln.strip() for ln in fh if ln.strip()), "")
-        if not header.startswith("order "):
+        header = re.fullmatch(r"order\s+([+-]?[0-9]+)", next((ln.strip() for ln in fh if ln.strip()), ""))
+        if not header:
             raise GroupError("group file must start with 'order n'")
-        n = int(header.split()[1])
+        n = int(_require_digits(header[1], "order"))
         _require_order(n)
         try:
             with warnings.catch_warnings():
@@ -825,7 +812,8 @@ def _check_table_shape(rows, n: int) -> None:
             raise GroupError(f"table row {i} has {len(row)} entries, expected {n}")
         if isinstance(row, list):
             for j, entry in enumerate(row, 1):
-                if not (re.fullmatch(r"[+-]?[0-9]+", entry) and -(2**63) <= int(entry) < 2**63):
+                # an int64 has at most 19 digits, so int() reads no long entry
+                if not (re.fullmatch(r"[+-]?0*[0-9]{1,19}", entry) and -(2**63) <= int(entry) < 2**63):
                     raise GroupError(f"table row {i} entry {j} is not an int64 integer: {entry!r}")
 
 

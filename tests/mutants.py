@@ -405,4 +405,24 @@ MUTANTS = (
             "tests/test_bazaikin.py::test_enumerate_matches_the_unsplit_freeness_loop[39]",
         ),
     ),
+    Mutant(
+        "the core keeps j = 1 mod d",
+        "groups.py",
+        "k % n % d == 0)",
+        "k % n % d == 1)",
+        (
+            "tests/test_groups.py::test_normal_cyclic_core_examples",
+            "tests/test_groups.py::test_normal_cyclic_core_is_the_closure_of_a_and_b_to_the_d",
+        ),
+    ),
+    Mutant(
+        "the class count starts at 0",
+        "groups.py",
+        "d, x = 1, r % m",
+        "d, x = 0, r % m",
+        (
+            "tests/test_groups.py::test_class_d_examples",
+            "tests/test_groups.py::test_normal_cyclic_core_is_the_closure_of_a_and_b_to_the_d",
+        ),
+    ),
 )

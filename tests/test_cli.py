@@ -257,6 +257,10 @@ def test_group_analyze_rejects_an_entry_that_would_wrap_under_int16(tmp_path, ca
             "table row 2 entry 2 is not an int64 integer: '99999999999999999999999'",
         ),
         ("0.5", "table row 2 entry 2 is not an int64 integer: '0.5'"),
+        # int() itself refuses more than 4300 digits with advice for Python code
+        pytest.param(
+            "9" * 5000, "table row 2 entry 2 is not an int64 integer: '99999", id="<5000 nines>"
+        ),
     ],
 )
 def test_group_analyze_rejects_entry_that_is_no_int64(entry, line, tmp_path, capsys):
@@ -267,6 +271,26 @@ def test_group_analyze_rejects_entry_that_is_no_int64(entry, line, tmp_path, cap
     assert out == ""
     assert err.startswith(f"error: cannot read group table: {line}")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "header, line",
+    [
+        ("order x", "group file must start with 'order n'"),
+        ("order 2 3", "group file must start with 'order n'"),
+        ("order", "group file must start with 'order n'"),
+        ("size 2", "group file must start with 'order n'"),
+        pytest.param(f"order {'9' * 5000}", "order has more than 1000 digits", id="order <5000 nines>"),
+    ],
+)
+def test_group_analyze_reads_a_header_of_order_and_one_integer(header, line, tmp_path, capsys):
+    path = tmp_path / "bad.grp"
+    path.write_text(f"{header}\n0 1\n1 0\n")
+    code, out, err = run_cli(capsys, "group", "analyze", "--in", str(path))
+    assert (code, out, err) == (2, "", f"error: cannot read group table: {line}\n")
+    path.write_text(" order  2 \n0 1\n1 0\n")
+    code, out, err = run_cli(capsys, "group", "analyze", "--in", str(path))
+    assert (code, err) == (0, "") and out.startswith("order: 2\n")
 
 
 def test_fixedpoint_profiles(capsys):
@@ -537,6 +561,21 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
             "bad --group (want cd:D or zpxzp:P): index has more than 1000 digits",
             id="fixedpoint obstruct --group zpxzp:<1001 nines>",
         ),
+        pytest.param(
+            f"fixedpoint obstruct --group cd:3 --lef {'9' * 5000}",
+            "--lef value has more than 1000 digits",
+            id="fixedpoint obstruct --group cd:3 --lef <5000 nines>",
+        ),
+        pytest.param(
+            f"group build --name Z{'9' * 5000}",
+            "group order has more than 1000 digits",
+            id="group build --name Z<5000 nines>",
+        ),
+        pytest.param(
+            f"group build --name B({'9' * 5000},1,1)",
+            "Burnside parameter has more than 1000 digits",
+            id="group build --name B(<5000 nines>,1,1)",
+        ),
         ("fixedpoint obstruct --group cd:3 --lef 1,a", "--lef wants a comma-separated integer list"),
         ("fixedpoint obstruct --group cd:3 --lef ,", "--lef wants at least one integer"),
         ("fixedpoint obstruct --group cd:3 --lef ''", "--lef wants at least one integer"),
@@ -597,8 +636,20 @@ def test_emit_writes_one_document_in_one_call(monkeypatch):
             "fixedpoint profiles --dim 1000001", 1,
             "fixedpoint profiles --dim 1000000", "component dimension must be odd",
         ),
+        # e3 of 2001-digit weights has more digits than int() prints (4300)
+        (
+            f"bazaikin check {'9' * 1000} {'9' * 1000} {'9' * 1000} 1 1 --json", 1,
+            f"bazaikin check 1{'0' * 1000} 1 1 1 1 --json", "weight has more than 1000 digits",
+        ),
+        (
+            f"bazaikin check {'9' * 1000} {'9' * 1000} {'9' * 1000} 1 1", 1,
+            f"bazaikin check {'9' * 2001} {'9' * 2001} {'9' * 2001} 1 1", "weight has more than 1000 digits",
+        ),
     ],
-    ids=["bound", "budget", "p", "name", "product", "burnside", "table-order", "prime", "dim"],
+    ids=[
+        "bound", "budget", "p", "name", "product", "burnside", "table-order", "prime", "dim",
+        "weight-json", "weight",
+    ],
 )
 def test_size_inputs_run_at_their_largest_value_and_reject_the_next(
     largest, limit_s, next_value, line, tmp_path, capsys
@@ -612,7 +663,7 @@ def test_size_inputs_run_at_their_largest_value_and_reject_the_next(
     code, out, err = run_cli(capsys, *shlex.split(largest.format(tmp=tmp_path)))
     assert (code, err) == (0, "")
     assert time.perf_counter() - start < limit_s
-    if largest.startswith("bazaikin"):
+    if largest.startswith("bazaikin enumerate"):
         assert json.loads(out)["count"] == 18981
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *shlex.split(next_value.format(tmp=tmp_path)))

@@ -324,11 +324,11 @@ def test_burnside_7_3_2():
     G = gr.build_burnside(params)
     assert G.order == 21
     assert set(orders_by_multiplication(G)) == {1, 3, 7}
-    a, b = gr.burnside_generators(params)
+    a, b = params.n, 1  # A = (1, 0) and B = (0, 1) at index i*n + j
     # defining relations hold: a^7 = 1, b^3 = 1, b a b^-1 = a^2
     assert int(G.element_order[a]) == 7 and int(G.element_order[b]) == 3
-    conj = G.mul(G.mul(b, a), int(G.inverse[b]))
-    assert conj == G.mul(a, a)
+    conj = G.table.item(G.table.item(b, a), int(G.inverse[b]))
+    assert conj == G.table.item(a, a)
 
 
 def test_burnside_n1_collapses_to_cyclic():
@@ -384,6 +384,31 @@ def test_class_d_divides_n():
         assert p.n % gr.burnside_class_d(p) == 0
 
 
+def test_invalid_burnside_parameters_raise_with_their_failing_conditions():
+    line = "invalid Burnside parameters BurnsideParams(m=7, n=3, r=3): r^n = 6 != 1 mod m"
+    for build in (gr.burnside_class_d, gr.normal_cyclic_core, gr.build_burnside):
+        with pytest.raises(gr.GroupError) as exc:
+            build(gr.BurnsideParams(7, 3, 3))
+        assert str(exc.value) == line
+
+
+def test_normal_cyclic_core_is_the_closure_of_a_and_b_to_the_d():
+    """The core read off the presentation against the walk it replaced:
+    A = (1, 0) and B = (0, 1) at index i*n + j, B powered d times by table
+    lookups, the pair closed by a frontier walk, and d found as the least
+    k with r^k = 1 mod m, for every valid triple up to the order cap."""
+    triples = gr.enumerate_burnside_params(gr.ORDER_CAP)
+    assert len(triples) == 2168
+    for p in triples:
+        G = gr.build_burnside(p)
+        d = next(k for k in range(1, p.n + 1) if pow(p.r, k, p.m) == 1 % p.m)
+        assert gr.burnside_class_d(p) == d, p
+        a, b, bd = 1 % p.m * p.n, 1 % p.n, 0
+        for _ in range(d):
+            bd = G.table.item(bd, b)
+        assert gr.normal_cyclic_core(p).elements == gr.closure(G, (a, bd)).elements, p
+
+
 def metacyclic_by_entries(m, n, r):
     """Table of (i, j)(i', j') = (i + r^j i', j + j'), one entry at a time,
     with (i, j) at index i*n + j."""
@@ -424,7 +449,7 @@ def test_sylow_examples():
     B = gr.build_burnside(gr.BurnsideParams(7, 3, 2))
     S7 = gr.sylow(B, 7)
     assert S7.order == 7 and S7.is_cyclic
-    a, _ = gr.burnside_generators(gr.BurnsideParams(7, 3, 2))
+    a = 3  # A = (1, 0) at index 1*n + 0
     assert a in S7.elements
     assert gr.sylow(gr.build_standard("Z15"), 7).order == 1
 
@@ -506,7 +531,7 @@ def test_p2_matches_exhaustive_commuting_pair_search():
             for y in range(1, G.order):
                 if int(G.element_order[y]) != 3 or y in span:
                     continue
-                if G.mul(x, y) == G.mul(y, x):
+                if G.table.item(x, y) == G.table.item(y, x):
                     found = True
         assert gr.p2_condition(G, 3) == (not found)
 
@@ -659,7 +684,7 @@ def test_normal_rank_nonabelian_matches_subgroup_scan():
 
         for k in (1, 2, 3):
             for combo in itertools.combinations(threes, k):
-                if any(G.mul(a, b) != G.mul(b, a) for a in combo for b in combo):
+                if any(G.table.item(a, b) != G.table.item(b, a) for a in combo for b in combo):
                     continue
                 H = gr.closure(G, combo)
                 if H.elements in seen:

@@ -68,16 +68,19 @@ def test_prime_checks_reject_exactly_the_non_primes():
 
 
 def test_each_shared_error_is_raised_by_one_function():
-    # the prime guard, the order cap, the index digit cap and the trace
-    # dimension cap are one rule each: a second function raising the same
-    # words is a copy that can drift from the first
+    # the prime guard, the order cap, the digit cap, the trace dimension
+    # cap, the Burnside parameter check and the proof gate are one rule
+    # each: a second function raising the same words, or building the same
+    # error, is a copy that can drift from the first
     raisers = {
         "is not prime": set(),
         "above the largest supported prime": set(),
         "outside supported range": set(),
-        "index has more than": set(),
+        "digits": set(),
         "trace dimension must be between": set(),
+        "invalid Burnside parameters": set(),
     }
+    gate_errors = set()
     for path in sorted((SRC / "pcurv13").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}
@@ -94,13 +97,19 @@ def test_each_shared_error_is_raised_by_one_function():
                 for message, where in raisers.items():
                     if message in text:
                         where.add(f"{path.stem}.{owner.get(node, '<module>')}")
+            if isinstance(node, ast.Call) and "ProofGateError" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                gate_errors.add(f"{path.stem}.{owner.get(node, '<module>')}")
     assert raisers == {
         "is not prime": {"gfp._require_prime"},
         "above the largest supported prime": {"gfp._require_prime"},
         "outside supported range": {"groups._require_order"},
-        "index has more than": {"cohomology.parse"},
+        "digits": {"gfp._require_digits"},
         "trace dimension must be between": {"cohomology.integer_trace_set"},
+        "invalid Burnside parameters": {"groups._valid_triple"},
     }
+    assert gate_errors == {"gates._gate"}
 
 
 def test_surviving_odd_primes_are_the_odd_primes_dividing_the_value():
