@@ -105,7 +105,7 @@ def cmd_group_analyze(args) -> int:
         raise ValueError(f"cannot read group table: {exc}")
     primes = groups.prime_divisors(G.order)
     is_p_group = len(primes) == 1
-    davis = groups.davis_decomposition(G)
+    two_part = groups.davis_decomposition(G)
     payload = {
         "order": G.order,
         "abelian": G.is_abelian,
@@ -119,12 +119,8 @@ def cmd_group_analyze(args) -> int:
         ),
         "davis": (
             None
-            if davis is None
-            else {
-                "a": davis[0].bit_length() - 1,
-                "two_part": davis[0],
-                "odd_order": davis[1].order,
-            }
+            if two_part is None
+            else {"a": two_part.bit_length() - 1, "two_part": two_part, "odd_order": G.order // two_part}
         ),
     }
     if args.json:

@@ -90,11 +90,10 @@ def rref(rows: Iterable[Sequence[int]], p: int) -> tuple[Vec, ...]:
 class Subspace:
     """A subspace of GF(p)^n held as a reduced row basis."""
 
-    __slots__ = ("p", "n", "basis", "_pivots")
+    __slots__ = ("p", "basis", "_pivots")
 
-    def __init__(self, p: int, n: int, vectors: Iterable[Sequence[int]] = ()):
+    def __init__(self, p: int, vectors: Iterable[Sequence[int]] = ()):
         self.p = p
-        self.n = n
         self.basis = rref(vectors, p)
         self._pivots = tuple(next(k for k, x in enumerate(row) if x) for row in self.basis)
 
@@ -110,7 +109,7 @@ class Subspace:
         return is_zero(self.reduce(v))
 
     def join(self, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        return Subspace(self.p, self.n, list(self.basis) + [tuple(v) for v in vectors])
+        return Subspace(self.p, list(self.basis) + [tuple(v) for v in vectors])
 
 
 def _combine(p: int, coords: Sequence[int], basis: Sequence[Sequence[int]], n: int) -> Vec:

@@ -14,9 +14,10 @@ searches only normal subgroups above the centre, not every elementary
 abelian subgroup, whose number grows exponentially with the rank.
 
 The centre is one cached mask (row equals column) that abelianness, the
-2p condition, the isomorphism prefilter and normal_rank read.  Whether a
-Sylow subgroup is cyclic or normal is read off the element orders, so
-group analyze builds none, and one _p_part gives every p-part.
+2p condition, the isomorphism prefilter and normal_rank read.  Nothing
+builds a Sylow subgroup: whether one is cyclic or normal is read off the
+element orders, and so is the splitting Z_{2^a} x (odd-order group), by
+Burnside's transfer theorem.  One _p_part gives every p-part.
 
 Named groups come from build_standard alone, Burnside groups from
 build_burnside, which returns the table still referenced for the same
@@ -37,7 +38,7 @@ is a sorted subgroup that its builder guarantees; it checks nothing.
 Subgroup patterns take two searches: one abelian-product search grows
 Z_p x Z_p, Z9xZ3 or Z3^3 a generator at a time over a numpy mask of the
 elements commuting with all so far, and the non-abelian order-27 patterns
-are non-commuting pairs in one Sylow 3-subgroup that close to 27 elements.
+are non-commuting pairs of G's elements that close to 27 elements.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _generating_set(table: np.ndarray) -> tuple[int, ...]:
 class SubgroupHandle:
     """A subgroup of a parent group as a sorted index set, which its builder
     guarantees: a closure by construction, the Burnside core by the
-    presentation, the others by their own check."""
+    presentation."""
 
     parent: GroupTable
     elements: tuple[int, ...]
@@ -384,7 +385,9 @@ def build_burnside(params: BurnsideParams) -> GroupTable:
 
 
 def _valid_triple(params: BurnsideParams) -> tuple[int, int, int]:
-    """(m, n, r) of valid parameters; invalid ones raise, here alone."""
+    """(m, n, r) of valid parameters; oversized, then invalid ones raise, here alone."""
+    for v in (params.m, params.n, params.r):
+        _require_digits(v, "Burnside parameter")
     bad = params.failing_conditions()
     if bad:
         raise GroupError(f"invalid Burnside parameters {params}: " + "; ".join(bad))
@@ -432,33 +435,6 @@ def enumerate_burnside_params(max_order: int) -> list[BurnsideParams]:
 
 # ---------------------------------------------------------------------------
 # structural queries
-
-
-def sylow(G: GroupTable, p: int) -> SubgroupHandle:
-    """A Sylow p-subgroup, grown deterministically (lowest-index p-element
-    whose join keeps a p-power order).  Trivial subgroup when p does not
-    divide the group order."""
-    _require_prime(p)
-    target = _p_part(G.order, p)
-    if target == 1:
-        return SubgroupHandle(G, (0,))
-    # an element order divides |G|, so it divides the p-part exactly when
-    # it is a power of p
-    p_elems = np.flatnonzero(target % G.element_order == 0)[1:].tolist()
-    gens: list[int] = []
-    current: set[int] = {0}
-    while len(current) < target:
-        for x in p_elems:
-            if x in current:
-                continue
-            grown = _closure_indices(G.table, gens + [x], cap=target)
-            if grown is not None and _p_part(len(grown), p) == len(grown):
-                gens.append(x)
-                current = set(grown)
-                break
-        else:  # pragma: no cover - impossible for a genuine group
-            raise GroupError("Sylow growth stalled")
-    return SubgroupHandle(G, tuple(sorted(current)))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -557,19 +533,20 @@ def _contains_abelian(G: GroupTable, orders: tuple[int, ...]) -> bool:
 def _contains_nonabelian27(G: GroupTable, label: str) -> bool:
     """A non-abelian group of order 27 is generated by two non-commuting
     elements, one of order 3 and one of the group's exponent (9 for
-    Z9semiZ3, 3 for U33).  Such pairs are searched in one Sylow 3-subgroup,
-    which holds a conjugate of every 3-subgroup."""
+    Z9semiZ3, 3 for U33).  Such pairs x, y of G's elements, x of that
+    exponent, are closed until one gives 27 elements, a non-abelian group
+    that x's order names: order 9 makes it Z9semiZ3, and order 3 U33, as
+    the order-3 elements of Z9semiZ3 lie in a subgroup of order 9."""
     if G.order % 27 or G.is_abelian:
         return False
     exponent = 9 if label == "Z9semiZ3" else 3
-    P = sylow(G, 3).elements
-    xs = [g for g in P if int(G.element_order[g]) == exponent]
-    ys = [g for g in P if int(G.element_order[g]) == 3]
+    xs = np.flatnonzero(G.element_order == exponent).tolist()
+    ys = np.flatnonzero(G.element_order == 3).tolist()
     for x, y in product(xs, ys):
         if G.table.item(x, y) == G.table.item(y, x):
             continue
         sub = _closure_indices(G.table, (x, y), cap=27)
-        if sub is not None and len(sub) == 27 and max(int(G.element_order[g]) for g in sub) == exponent:
+        if sub is not None and len(sub) == 27:
             return True
     return False
 
@@ -636,42 +613,25 @@ def _is_normal_set(G: GroupTable, elems: Iterable[int]) -> bool:
     return bool(_subset_mask(G.order, arr)[conj].all())
 
 
-def normal_p_complement(G: GroupTable, p: int) -> Optional[SubgroupHandle]:
-    """Normal N with G = PN and P cap N = 1 for P a Sylow p-subgroup, when
-    it exists.  Such an N is exactly the set of p'-elements, so existence
-    reduces to that set being closed."""
-    _require_prime(p)
-    if G.order % p != 0:
-        raise GroupError(f"{p} does not divide the group order {G.order}")
-    coprime = np.flatnonzero(G.element_order % p != 0)
-    if len(coprime) != G.order // _p_part(G.order, p):
-        return None
-    if not _subset_mask(G.order, coprime)[G.table[np.ix_(coprime, coprime)]].all():
-        return None
-    return SubgroupHandle(G, tuple(coprime.tolist()))
-
-
 def min_cyclic_index(G: GroupTable) -> int:
     """Group order divided by the maximal element order."""
     return G.order // int(G.element_order.max())
 
 
-def davis_decomposition(G: GroupTable) -> Optional[tuple[int, SubgroupHandle]]:
-    """Internal splitting G = Z_{2^a} x (odd-order part), if one exists.
+def davis_decomposition(G: GroupTable) -> Optional[int]:
+    """2^a when G = Z_{2^a} x (odd-order group), else None.
 
-    Requires the odd-order elements to form a subgroup and the Sylow
-    2-subgroup to be cyclic and normal; returns (2^a, odd part).  One of
+    G splits so iff a Sylow 2-subgroup P is cyclic and normal, and P of
     order 2^a is normal iff it holds all 2^a elements of 2-power order.
+    A cyclic P has a normal complement by Burnside's transfer theorem
+    (Isaacs, Finite Group Theory, ch. 5), and normal subgroups of coprime
+    orders multiplying to |G| make G their direct product.  Odd |G| gives
+    2^a = 1, the trivial P being cyclic and normal.
     """
-    if G.order % 2:
-        return 1, SubgroupHandle(G, tuple(range(G.order)))
-    N = normal_p_complement(G, 2)
-    if N is None:
-        return None
-    two_part = G.order // N.order
+    two_part = _p_part(G.order, 2)
     if not sylow_is_cyclic(G, 2) or np.count_nonzero(two_part % G.element_order == 0) != two_part:
         return None
-    return two_part, N
+    return two_part
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,16 @@ class ObstructionReport:
     scenario: ScenarioInput
     index_bound_set: frozenset[int]
     case_trace: tuple[TraceStep, ...]
-    axioms_used: tuple[str, ...]
 
     def __post_init__(self):
         if not self.index_bound_set:
             raise ValueError("the admissible index set cannot be empty")
+
+    @property
+    def axioms_used(self) -> tuple[str, ...]:
+        """The AXIOMS that a step of the trace invokes, in AXIOMS order."""
+        invoked = {s.name for s in self.case_trace if s.kind == "axiom"}
+        return tuple(a for a in AXIOMS if a in invoked)
 
     def to_json(self) -> dict:
         return {
@@ -799,10 +804,4 @@ def theorem_a_report(scenario: ScenarioInput) -> ObstructionReport:
             tr.steps.extend(steps)
             bounds |= sub_bounds
         bounds |= _dim7_branch(tr)
-    invoked = {s.name for s in tr.steps if s.kind == "axiom"}
-    return ObstructionReport(
-        scenario=scenario,
-        index_bound_set=bounds,
-        case_trace=tuple(tr.steps),
-        axioms_used=tuple(a for a in AXIOMS if a in invoked),
-    )
+    return ObstructionReport(scenario=scenario, index_bound_set=bounds, case_trace=tuple(tr.steps))

@@ -306,15 +306,13 @@ class _Frame:
     def b60(self, w: Vec) -> Subspace:
         """Boundaries at spot (6,0) accumulated before page 6 (w, the d4
         value of x, is 0 when x is dead)."""
-        return Subspace(
-            self.p, base_dim(6), self.mul_all(self.v, 3, 3) + self.mul_all(w, 4, 2)
-        )
+        return Subspace(self.p, self.mul_all(self.v, 3, 3) + self.mul_all(w, 4, 2))
 
 
 @lru_cache(maxsize=None)
 def _ideal_piece(p: int, z: Vec, kz: int, m: int) -> Subspace:
     # kept across frames: the page engine builds a new frame per choice
-    return Subspace(p, base_dim(m + kz), _products(p, _std_basis(m), m, z, kz))
+    return Subspace(p, _products(p, _std_basis(m), m, z, kz))
 
 
 def _products(p: int, basis: Iterable[Vec], m: int, z: Vec, kz: int) -> list[Vec]:
@@ -335,7 +333,7 @@ def _restrict(
     if not basis or is_zero(z):
         return basis
     if target is None:
-        target = Subspace(p, base_dim(m + kz))
+        target = Subspace(p)
     return preimage_subspace(basis, _products(p, basis, m, z, kz), target, p)
 
 
@@ -432,7 +430,7 @@ class _Run:
         elif n == 3:
             if page >= 4 and m >= 3:
                 vecs += fr.mul_all(fr.xi, 3, m - 3)
-        return Subspace(p, base_dim(m), vecs)
+        return Subspace(p, vecs)
 
     def page_dims(self, page: int) -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}

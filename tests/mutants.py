@@ -100,6 +100,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the order-27 search accepts a closure of the wrong exponent",
+        "groups.py",
+        "xs = np.flatnonzero(G.element_order == exponent).tolist()",
+        "xs = np.flatnonzero(G.element_order >= exponent).tolist()",
+        (
+            "tests/test_groups.py::test_contains_copy_matches_brute_force_oracle",
+            "tests/test_groups.py::test_nonabelian27_search_over_g_matches_the_search_in_one_sylow_subgroup",
+        ),
+    ),
+    Mutant(
         "line orbits weighted by their lines, not their points",
         "spectral.py",
         "size + (p - 1) ** sum(map(any, x))",

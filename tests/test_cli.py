@@ -201,14 +201,6 @@ def test_group_analyze_pinned(tmp_path, capsys):
     )
 
 
-def test_group_analyze_builds_no_sylow_subgroup(tmp_path, capsys, monkeypatch):
-    calls = []
-    sylow = gr.sylow
-    monkeypatch.setattr(gr, "sylow", lambda *args: calls.append(args) or sylow(*args))
-    analyze_set_outputs(tmp_path, capsys)
-    assert calls == []
-
-
 def test_group_build_name_roundtrip(tmp_path, capsys):
     path = tmp_path / "u.grp"
     code, _, _ = run_cli(capsys, "group", "build", "--name", "U33", "--out", str(path))
@@ -575,6 +567,12 @@ def test_theorem_a_explain_pinned(argv, digest, capsys):
             f"group build --name B({'9' * 5000},1,1)",
             "Burnside parameter has more than 1000 digits",
             id="group build --name B(<5000 nines>,1,1)",
+        ),
+        # each value is under int()'s 4300 digits, but the order m*n is not
+        pytest.param(
+            f"group build --burnside {10**2200 - 1} {2**14000} {10**2200 - 2}",
+            "Burnside parameter has more than 1000 digits",
+            id="group build --burnside <2200 digits> 2**14000 <2200 digits>",
         ),
         ("fixedpoint obstruct --group cd:3 --lef 1,a", "--lef wants a comma-separated integer list"),
         ("fixedpoint obstruct --group cd:3 --lef ,", "--lef wants at least one integer"),

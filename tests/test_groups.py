@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import os
 import re
@@ -48,6 +47,19 @@ def squaring_closure(table, seed):
         if not new:
             return tuple(sorted(elems))
         elems |= new
+
+
+def sylow_subgroup(G, p):
+    """A Sylow p-subgroup, grown from the identity: each step joins the
+    lowest-index p-element whose squaring closure with the subgroup so far
+    keeps a power of p as its order."""
+    target = gr._p_part(G.order, p)
+    p_elems = [g for g in range(1, G.order) if target % int(G.element_order[g]) == 0]
+    elems = (0,)
+    while len(elems) < target:
+        grown = (squaring_closure(G.table, elems + (x,)) for x in p_elems if x not in elems)
+        elems = next(H for H in grown if gr._p_part(len(H), p) == len(H))
+    return gr.SubgroupHandle(G, elems)
 
 
 def oracle_groups():
@@ -310,7 +322,7 @@ def test_every_table_is_int16(tmp_path):
         G,
         gr.build_burnside(gr.BurnsideParams(7, 3, 2)),
         gr.read_group_file(path),
-        as_group(gr.sylow(G, 3)),
+        as_group(sylow_subgroup(G, 3)),
         gr.GroupTable([[0, 1], [1, 0]]),
     ]
     assert [T.table.dtype for T in tables] == [np.int16] * len(tables)
@@ -444,61 +456,10 @@ def test_enumerate_burnside_params_matches_brute_force():
 # --- Sylow machinery ----------------------------------------------------
 
 
-def test_sylow_examples():
-    assert gr.sylow(gr.build_standard("Z12"), 2).order == 4
-    B = gr.build_burnside(gr.BurnsideParams(7, 3, 2))
-    S7 = gr.sylow(B, 7)
-    assert S7.order == 7 and S7.is_cyclic
-    a = 3  # A = (1, 0) at index 1*n + 0
-    assert a in S7.elements
-    assert gr.sylow(gr.build_standard("Z15"), 7).order == 1
-
-
-# sha256 of json.dumps([[G.name, p, list(sylow(G, p).elements)], ...]) over
-# oracle_groups() and each prime divisor in increasing order
-SYLOW_DIGEST = "58d640af11039104c20a542e924a47d1bb2834c56da7c4bd51de666de6f16bbd"
-
-
-def test_sylow_elements_pinned():
-    got = [
-        [G.name, p, list(gr.sylow(G, p).elements)]
-        for G in oracle_groups()
-        for p in gr.prime_divisors(G.order)
-    ]
-    assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == SYLOW_DIGEST
-    # a few readable entries, where the Sylow subgroup is not normal
-    pinned = {
-        ((3, 2, 2), 2): (0, 1),
-        ((7, 3, 2), 3): (0, 1, 2),
-        ((5, 4, 2), 2): (0, 1, 2, 3),
-        ((9, 2, 8), 2): (0, 1),
-    }
-    for (t, p), want in pinned.items():
-        assert gr.sylow(gr.build_burnside(gr.BurnsideParams(*t)), p).elements == want
-
-
 def test_all_sylow_cyclic():
     assert gr.all_sylow_cyclic(gr.build_burnside(gr.BurnsideParams(7, 3, 2)))
     assert not gr.all_sylow_cyclic(gr.build_standard("Z3xZ3"))
     assert gr.all_sylow_cyclic(gr.build_standard("Z45"))
-
-
-def test_sylow_cyclic_iff_element_of_full_p_power_order():
-    # independent characterization: a cyclic Sylow subgroup exists iff some
-    # element realizes the full p-part of the order
-    for G in [
-        gr.build_standard("Z45"),
-        gr.build_standard("Z9xZ3"),
-        gr.build_burnside(gr.BurnsideParams(7, 3, 2)),
-        gr.build_standard("U33"),
-        gr.build_standard("Z5xZ3xZ3"),
-    ]:
-        for p in gr.prime_divisors(G.order):
-            part = 1
-            while G.order % (part * p) == 0:
-                part *= p
-            expect = any(int(o) == part for o in G.element_order)
-            assert gr.sylow(G, p).is_cyclic == expect
 
 
 def test_all_sylow_cyclic_matches_every_sylow_subgroup():
@@ -509,7 +470,7 @@ def test_all_sylow_cyclic_matches_every_sylow_subgroup():
     others = [gr.build_standard(n) for n in ("Z3xZ3", "Z9xZ3", "Z5xZ3xZ3", "Z3xZ3xZ3")]
     verdicts = []
     for G in oracle_groups() + family + others:
-        expect = all(gr.sylow(G, p).is_cyclic for p in gr.prime_divisors(G.order))
+        expect = all(sylow_subgroup(G, p).is_cyclic for p in gr.prime_divisors(G.order))
         assert gr.all_sylow_cyclic(G) == expect, G.name
         verdicts.append(expect)
     assert True in verdicts and False in verdicts
@@ -521,19 +482,20 @@ def test_p2_condition():
     assert not gr.p2_condition(gr.build_standard("U33"), 3)
 
 
-def test_p2_matches_exhaustive_commuting_pair_search():
-    for G in [gr.build_standard("Z9semiZ3"), gr.build_standard("Z27"), gr.build_standard("U33"), gr.build_standard("Z9xZ3")]:
-        found = False
-        for x in range(1, G.order):
-            if int(G.element_order[x]) != 3:
+def test_p2_matches_exhaustive_commuting_pair_search(fact_groups):
+    """Z_p x Z_p is two commuting elements of order p, neither a power of
+    the other; every pair is tried, at each prime whose square divides |G|."""
+    verdicts = set()
+    for G in fact_groups:
+        T = G.table.tolist()
+        for p in gr.prime_divisors(G.order):
+            if G.order % (p * p):
                 continue
-            span = G.cyclic_span(x)
-            for y in range(1, G.order):
-                if int(G.element_order[y]) != 3 or y in span:
-                    continue
-                if G.table.item(x, y) == G.table.item(y, x):
-                    found = True
-        assert gr.p2_condition(G, 3) == (not found)
+            spans = {x: G.cyclic_span(x) for x in range(1, G.order) if G.element_order[x] == p}
+            found = any(T[x][y] == T[y][x] and y not in spans[x] for x, y in combinations(spans, 2))
+            assert gr.p2_condition(G, p) == (not found), (G.name, p)
+            verdicts.add((p, found))
+    assert {(2, True), (2, False), (3, True), (3, False)} <= verdicts
 
 
 def test_two_p_condition():
@@ -587,7 +549,7 @@ def pattern_oracle(G):
     of nonidentity elements of P, then every triple of its order-3
     elements, meets a copy of each pattern G contains.
     """
-    P = gr.sylow(G, 3).elements
+    P = sylow_subgroup(G, 3).elements
     found = set()
     seen = set()
 
@@ -619,6 +581,37 @@ def test_contains_copy_matches_brute_force_oracle():
         got = {pat for pat in gr.PATTERNS if gr.contains_copy(G, pat, p=3)}
         assert got == found & set(gr.PATTERNS), name
         assert gr.p2_condition(G, 3) == ("ZpxZp" not in found), name
+
+
+def nonabelian27_in_one_sylow(G, label):
+    """The order-27 search with its pairs taken from one built Sylow
+    3-subgroup, which holds a conjugate of every 3-subgroup, and the
+    closure's exponent checked."""
+    if G.order % 27 or G.is_abelian:
+        return False
+    exponent = 9 if label == "Z9semiZ3" else 3
+    P = sylow_subgroup(G, 3).elements
+    xs = [g for g in P if int(G.element_order[g]) == exponent]
+    ys = [g for g in P if int(G.element_order[g]) == 3]
+    for x, y in product(xs, ys):
+        if G.table.item(x, y) == G.table.item(y, x):
+            continue
+        sub = gr._closure_indices(G.table, (x, y), cap=27)
+        if sub is not None and len(sub) == 27 and max(int(G.element_order[g]) for g in sub) == exponent:
+            return True
+    return False
+
+
+def test_nonabelian27_search_over_g_matches_the_search_in_one_sylow_subgroup():
+    family = [gr.build_burnside(p) for p in gr.enumerate_burnside_params(gr.ORDER_CAP) if p.m * p.n % 27 == 0]
+    named = [G for G in map(gr.build_standard, NAMED_IN_TESTS) if G.order % 27 == 0]
+    verdicts = set()
+    for G in family + named:
+        for label in ("U33", "Z9semiZ3"):
+            want = nonabelian27_in_one_sylow(G, label)
+            assert gr.contains_copy(G, label) == want, (G.name, label)
+            verdicts.add((label, want))
+    assert verdicts == {("U33", True), ("U33", False), ("Z9semiZ3", True), ("Z9semiZ3", False)}
 
 
 def test_order_81_fact():
@@ -843,24 +836,6 @@ def test_is_normal_set_matches_conjugation_by_every_element():
     assert gr._is_normal_set(S3, (0, 2, 4))
 
 
-def test_normal_p_complement():
-    S3 = gr.build_standard("S3")
-    N = gr.normal_p_complement(S3, 2)
-    assert N is not None and N.order == 3 and N.is_normal
-
-    B = gr.build_burnside(gr.BurnsideParams(7, 3, 2))
-    N7 = gr.normal_p_complement(B, 3)
-    assert N7 is not None and N7.order == 7
-
-    V = gr.build_standard("Z3xZ3")
-    NV = gr.normal_p_complement(V, 3)
-    assert NV is not None and NV.order == 1
-
-    # A4 has no normal 2-complement: build it as a permutation-free table?
-    # S3 at p=3: complement must have order 2 and be normal; none exists
-    assert gr.normal_p_complement(S3, 3) is None
-
-
 def test_min_cyclic_index():
     assert gr.min_cyclic_index(gr.build_standard("Z12")) == 1
     assert gr.min_cyclic_index(gr.build_burnside(gr.BurnsideParams(7, 3, 2))) == 3
@@ -876,17 +851,11 @@ def test_min_cyclic_index_times_max_order():
 
 
 def test_davis_decomposition():
-    a, N = gr.davis_decomposition(gr.build_standard("Z12"))
-    assert a == 4 and N.order == 3
-
-    G = gr.build_standard("Z6xBurnside(7,3,2)")
-    a, N = gr.davis_decomposition(G)
-    assert a == 2 and N.order == 63
-
+    assert gr.davis_decomposition(gr.build_standard("Z12")) == 4
+    assert gr.davis_decomposition(gr.build_standard("Z6xBurnside(7,3,2)")) == 2
     assert gr.davis_decomposition(gr.build_standard("S3")) is None
-
-    a, N = gr.davis_decomposition(gr.build_standard("Z9"))
-    assert a == 1 and N.order == 9
+    assert gr.davis_decomposition(gr.build_standard("Z9")) == 1
+    assert gr.davis_decomposition(gr.build_standard("Z2xZ2xZ3")) is None
 
 
 # --- centre and Sylow facts against built subgroups --------------------------
@@ -894,7 +863,7 @@ def test_davis_decomposition():
 # every group the tests build by name
 NAMED_IN_TESTS = (
     "B(7,3,2)", "S3", "S3xU33", "U33", "U33xZ3xZ3", "Z12", "Z15",
-    "Z16xU33", "Z27", "Z27xZ3", "Z27xZ9", "Z2xZ2", "Z2xZ2xZ2", "Z2xZ4", "Z3", "Z3xS3",
+    "Z16xU33", "Z27", "Z27xZ3", "Z27xZ9", "Z2xZ2", "Z2xZ2xZ2", "Z2xZ2xZ3", "Z2xZ4", "Z3", "Z3xS3",
     "Z3xU33", "Z3xZ3", "Z3xZ3xZ3", "Z3xZ3xZ3xZ3", "Z3xZ9", "Z3xZ9semiZ3", "Z4", "Z45",
     "Z5", "Z5xZ3xZ3", "Z6", "Z6xBurnside(7,3,2)", "Z81", "Z9", "Z9semiZ3",
     "Z9semiZ3xZ3xZ3", "Z9xU33", "Z9xZ3", "Z9xZ3xZ3", "Z9xZ9",
@@ -923,15 +892,21 @@ def test_centre_facts_match_per_element_oracle(fact_groups):
         assert gr.two_p_condition(G) == (involutions <= set(centre)), G.name
 
 
+def odd_elements_form_a_complement(G, P):
+    """Whether the odd-order elements are closed and |G| / |P| of them: a
+    subgroup meeting the Sylow 2-subgroup P trivially, of complementary order."""
+    odd = np.flatnonzero(G.element_order % 2)
+    return len(odd) * P.order == G.order and bool(np.isin(G.table[np.ix_(odd, odd)], odd).all())
+
+
 def davis_by_sylow(G):
-    """(2-part, odd order) of davis_decomposition, read off a built Sylow
-    2-subgroup: a normal 2-complement, and P cyclic and normal."""
-    if G.order % 2:
-        return 1, G.order
-    N, P = gr.normal_p_complement(G, 2), gr.sylow(G, 2)
-    if N is None or not P.is_cyclic or not P.is_normal:
+    """2^a of davis_decomposition, read off a built Sylow 2-subgroup P:
+    P cyclic and normal, and the odd-order elements a complement, which
+    is then normal as well, so that G is their direct product."""
+    P = sylow_subgroup(G, 2)
+    if not (P.is_cyclic and P.is_normal and odd_elements_form_a_complement(G, P)):
         return None
-    return P.order, N.order
+    return P.order
 
 
 def test_sylow_facts_match_built_sylow_subgroups(fact_groups):
@@ -939,17 +914,17 @@ def test_sylow_facts_match_built_sylow_subgroups(fact_groups):
     p^a, and normal iff G has exactly p^a elements of p-power order."""
     for G in fact_groups:
         for p in gr.prime_divisors(G.order):
-            P = gr.sylow(G, p)
+            P = sylow_subgroup(G, p)
             assert gr.sylow_is_cyclic(G, p) == P.is_cyclic, (G.name, p)
             p_power = int((P.order % G.element_order == 0).sum())
             assert (p_power == P.order) == P.is_normal, (G.name, p)
-        got = gr.davis_decomposition(G)
-        assert (None if got is None else (got[0], got[1].order)) == davis_by_sylow(G), G.name
-    # a normal 2-complement and a cyclic Sylow 2-subgroup that is not normal
-    for name in ("S3", "B(5,4,2)"):
+        assert gr.davis_decomposition(G) == davis_by_sylow(G), G.name
+    # a 2-complement and a Sylow 2-subgroup that is cyclic but not normal,
+    # or normal but not cyclic
+    for name, cyclic, normal in (("S3", True, False), ("B(5,4,2)", True, False), ("Z2xZ2xZ3", False, True)):
         G = gr.build_standard(name)
-        P = gr.sylow(G, 2)
-        assert gr.normal_p_complement(G, 2) and P.is_cyclic and not P.is_normal
+        P = sylow_subgroup(G, 2)
+        assert odd_elements_form_a_complement(G, P) and (P.is_cyclic, P.is_normal) == (cyclic, normal)
         assert gr.davis_decomposition(G) is None
 
 

@@ -213,7 +213,6 @@ def test_empty_bounds_rejected():
             scenario=pl.ScenarioInput(2, pl.RATIONAL),
             index_bound_set=frozenset(),
             case_trace=(),
-            axioms_used=tuple(pl.AXIOMS),
         )
 
 
